@@ -24,32 +24,39 @@ arrivals take an inlined fast path.
 
 Three backends share those semantics. ``backend="python"`` (the default)
 walks every event group in the scalar loop above. ``backend="vectorized"``
-first partitions the lexsorted event array with numpy: two events can
+first sorts the events by (channel, time) with numpy: two events can
 only interact if they share a (link, wavelength) channel *and* are at
 most ``max_worm_length - 1`` steps apart (an occupancy written at ``t``
-expires by ``t + L - 1``), so a single sorted-adjacent-gap test splits
-the round into *free* runs -- resolved in bulk, they advance at every
-link by construction -- and *contended* runs, which fall back to the
-scalar loop over just their events. The partition is conservative
-(over-approximates contention), so outcomes are bit-identical to the
-scalar engine by construction; the differential test suite enforces it.
+expires by ``t + L - 1``), so a single sorted-adjacent-gap test marks
+every event that sits in such a pair as *clashed*. Only clashed events
+replay through the scalar loop. Every other event meets an idle or
+stale channel, so its worm advances unless it is already dead or the
+link is down; those events are settled in numpy, and each worm's
+makespan contribution follows from a closed form over its truncations.
+The clash test is conservative (it over-approximates contention), so
+outcomes are bit-identical to the scalar engine by construction; the
+differential test suite enforces it.
 
 ``backend="batched"`` behaves exactly like ``"vectorized"`` for a single
 :meth:`RoutingEngine.run_round` call, and additionally opts callers into
 :func:`run_round_batch`: many independent rounds (typically the same
 round of many trials differing only in their seeds) are stacked into one
 set of ``(trial, link, wavelength)``-keyed arrays so the event build,
-the lexsort and the adjacent-gap conflict test amortise across the whole
+the sorts and the adjacent-gap clash test amortise across the whole
 batch. Events within one trial never cluster with another trial's (the
-trial id is the most significant sort key), so each trial's partition --
-and therefore its outcomes, collision order, fault attribution and
+trial id is the most significant sort key), so each trial's clash mask
+-- and therefore its outcomes, collision order, fault attribution and
 flight-recorder stream -- is bit-identical to running that trial alone.
+
+Every sort goes through :func:`_lexorder`, which packs the integer key
+columns into as few int64 words as fit and sorts those.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -107,6 +114,61 @@ def get_default_backend() -> str:
     return _default_backend
 
 
+def _lexorder(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> np.ndarray:
+    """Row order sorting integer ``columns``, the first most significant.
+
+    ``columns[i]`` holds values in ``[0, bounds[i])``. The columns are
+    packed, most significant first, into as few int64 words as hold 63
+    bits each, with the row index in the lowest bits of the last word.
+    Every key is then unique, so one word sorts with a single (unstable,
+    fast) ``argsort`` and several go through ``np.lexsort`` on the words;
+    either way the result equals the stable ``np.lexsort(columns[::-1])``.
+    """
+    n = columns[0].shape[0]
+    words: list[np.ndarray] = []
+    used = 64
+    for col, bound in zip((*columns, np.arange(n)), (*bounds, n)):
+        width = max(1, (int(bound) - 1).bit_length())
+        if used + width > 63:
+            words.append(col.astype(np.int64))
+            used = width
+        else:
+            word = words[-1]
+            word <<= width
+            word |= col
+            used += width
+    if len(words) == 1:
+        return np.argsort(words[0])
+    return np.lexsort(words[::-1])
+
+
+def _clashed(
+    chan: np.ndarray, t: np.ndarray, gap, chan_bound: int, t_bound: int
+) -> np.ndarray:
+    """Mask of events sharing a channel with an event at most ``gap`` steps away.
+
+    ``chan`` and ``t`` are each event's channel and time, below
+    ``chan_bound`` and ``t_bound``; ``gap`` is a scalar or one value per
+    event. Sorted by (channel, time), adjacent rows are the only
+    candidates. Rows tied on (channel, time) sit together with a zero
+    gap, so all of them are clashed and their neighbours see the same
+    time whichever of them ends the tie: the mask does not depend on how
+    the sort breaks ties.
+    """
+    order = _lexorder((chan, t), (chan_bound, t_bound))
+    c2 = chan[order]
+    t2 = t[order]
+    if isinstance(gap, np.ndarray):
+        gap = gap[order[1:]]
+    clash = (c2[1:] == c2[:-1]) & (t2[1:] - t2[:-1] <= gap)
+    hit = np.zeros(order.shape[0], dtype=bool)
+    hit[1:] = clash
+    hit[:-1] |= clash
+    mask = np.empty_like(hit)
+    mask[order] = hit
+    return mask
+
+
 class _Record:
     """One live occupancy: worm ``run`` holds a link from ``entry`` to ``end``."""
 
@@ -133,7 +195,7 @@ class _Run:
         "cut_len",
         "dead_at",
         "faulted",
-        "truncated",
+        "cuts",
         "blockers",
         "records",
     )
@@ -166,21 +228,47 @@ class _Run:
         self.cut_len = worm.length
         self.dead_at: int | None = None
         self.faulted = False
-        self.truncated = False
+        # Applied truncations as (event index, cut position, new length);
+        # each one lowered cut_len.
+        self.cuts: list[tuple[int, int, int]] = []
         self.blockers: list[int] = []
         self.records: list[_Record] = []
+
+
+def _last_step(run: _Run, last: int) -> int:
+    """The last step any flit of ``run`` moved, given its last live position.
+
+    Every flit crossing lives inside some occupancy record, and each
+    record ends with the last surviving flit through its link. The worm
+    holds a record at every position ``p <= last``; that record entered
+    at ``delay + p`` and lasts ``min(length, new_len of every cut in
+    run.cuts at a position <= p)`` steps. A cut reaches the records at
+    and downstream of its position whenever it lands, and none upstream,
+    because those were written before it (a cut at ``c`` lands after
+    step ``delay + c``). The length is therefore constant between cut
+    positions, and the latest end lies at the last position before a cut
+    or at ``last``.
+    """
+    flits = run.length
+    end = -1
+    for _, cut_pos, new_len in sorted(run.cuts, key=lambda cut: cut[1]):
+        if cut_pos > 0:
+            end = max(end, run.delay + cut_pos - 1 + flits - 1)
+        flits = min(flits, new_len)
+    return max(end, run.delay + last + flits - 1)
 
 
 class _OrderedRecorder:
     """Buffers flight-recorder calls tagged with their global event index.
 
-    The vectorized backend emits free-run events and contended-group
-    events from two separate passes; tagging each call with the index of
-    the event that produced it and flushing in sorted order makes the
-    recorder stream bit-identical to the scalar engine's. Recorder
-    methods read ``run.cut_len`` at call time (the ``surviving`` field),
-    and the contended subloop mutates it, so each buffered call snapshots
-    the value and the flush restores it around the real emission.
+    The vectorized backend emits the clashed events' calls from the
+    scalar replay and the other events' calls from a later pass; tagging
+    each call with the index of the event that produced it and flushing
+    in sorted order makes the recorder stream bit-identical to the
+    scalar engine's. Recorder methods read ``run.cut_len`` at call time
+    (the ``surviving`` field), and the replay mutates it, so each
+    buffered call carries the value in force at its event and the flush
+    restores it around the real emission.
     """
 
     __slots__ = ("calls", "base")
@@ -189,8 +277,12 @@ class _OrderedRecorder:
         self.calls: list[tuple[int, str, "_Run", tuple, int]] = []
         self.base = 0
 
+    def add(self, index: int, name: str, run: "_Run", cut_len: int, *args) -> None:
+        """Buffer one call for event ``index`` with ``cut_len`` in force."""
+        self.calls.append((index, name, run, args, cut_len))
+
     def _buffer(self, name: str, run: "_Run", args: tuple) -> None:
-        self.calls.append((self.base, name, run, args, run.cut_len))
+        self.add(self.base, name, run, run.cut_len, *args)
 
     def advance(self, run: "_Run", *args) -> None:
         self._buffer("advance", run, args)
@@ -278,9 +370,11 @@ class RoutingEngine:
         self._links: list[tuple] = []
         self._lid_arrays: dict[int, np.ndarray] = {}
         self._pos_arrays: dict[int, np.ndarray] = {}
-        # Lazily built concatenated event table for the batched kernel;
+        # Lazily built concatenated event table (see _event_table);
         # invalidated whenever the worm set changes.
         self._ev_table: tuple[np.ndarray, np.ndarray, dict[int, int]] | None = None
+        # Bound on every event position (never lowered by retirement).
+        self._max_links = 1
         for w in worms:
             self._register(w)
 
@@ -293,8 +387,8 @@ class RoutingEngine:
         The lockstep trial driver uses this to stamp out one engine per
         trial of a shared collection. Registries are dict copies, so
         streaming ``add_worms``/``retire_worms`` on either engine never
-        affects the other; the per-worm numpy arrays are shared
-        read-only. ``metrics`` overrides the fork's registry (pass None
+        affects the other; the per-worm numpy arrays and the event table
+        are shared read-only. ``metrics`` overrides the fork's registry (pass None
         for the process default); omitted, the fork inherits this
         engine's.
         """
@@ -310,7 +404,8 @@ class RoutingEngine:
         clone._links = list(self._links)
         clone._lid_arrays = dict(self._lid_arrays)
         clone._pos_arrays = dict(self._pos_arrays)
-        clone._ev_table = self._ev_table
+        clone._ev_table = self._event_table()
+        clone._max_links = self._max_links
         return clone
 
     def _register(self, w: Worm) -> None:
@@ -330,6 +425,7 @@ class RoutingEngine:
         self._link_ids[w.uid] = ids
         self._lid_arrays[w.uid] = np.asarray(ids, dtype=np.int64)
         self._pos_arrays[w.uid] = np.arange(len(ids), dtype=np.int64)
+        self._max_links = max(self._max_links, len(ids))
 
     @property
     def worms(self) -> dict[int, Worm]:
@@ -442,21 +538,18 @@ class RoutingEngine:
         free_events = 0
         with prof.span("engine.resolve"):
             if self.backend != "python":
-                contended, free_events = self._run_vectorized(
-                    runs, arrays, dead_lids, collect_collisions, recorder,
-                    collisions, faulted_at,
+                t, lid, wl = arrays[:3]
+                radix = int(wl.max()) + 1
+                clashed = _clashed(
+                    lid * radix + wl, t, max(run.length for run in runs) - 1,
+                    len(self._links) * radix, int(t[-1]) + 1,  # t is sorted
+                )
+                contended, free_events = self._apply_partition(
+                    runs, arrays, clashed, dead_lids, collect_collisions,
+                    recorder, collisions, faulted_at,
                 )
             else:
-                t_arr, lid_arr, wl_arr, pos_arr, ri_arr = arrays
-                events = list(
-                    zip(
-                        t_arr.tolist(),
-                        lid_arr.tolist(),
-                        wl_arr.tolist(),
-                        pos_arr.tolist(),
-                        ri_arr.tolist(),
-                    )
-                )
+                events = list(zip(*(col.tolist() for col in arrays)))
                 contended = self._resolve_scalar(
                     events, runs, dead_lids, collect_collisions, recorder,
                     collisions, faulted_at,
@@ -536,9 +629,10 @@ class RoutingEngine:
         """Walk ``events`` in order, resolving each (t, link, wl) group.
 
         This is the one place collision semantics are applied; the
-        vectorized backend reuses it for its contended subset, passing
+        vectorized backend reuses it for its clashed events, passing
         ``order`` -- the events' indices in the full round -- so fault
-        attribution and recorder emission keep global positions. Returns
+        attribution, truncation logs and recorder emission keep global
+        positions. Returns
         the number of contended coupler groups.
         """
         contended = 0
@@ -643,12 +737,14 @@ class RoutingEngine:
                 if new_len < occ_run.cut_len:
                     occ_run.cut_len = new_len
                     cut_pos = rec.pos
+                    occ_run.cuts.append(
+                        (start if order is None else order[start], cut_pos, new_len)
+                    )
                     for r in occ_run.records:
                         if r.pos >= cut_pos:
                             cap = r.entry + new_len - 1
                             if cap < r.end:
                                 r.end = cap
-                occ_run.truncated = True
                 b = (
                     decision.winner
                     if decision.winner is not None
@@ -678,150 +774,87 @@ class RoutingEngine:
                     recorder.advance(run, t, p, links[lid], wl)
         return contended
 
-    def _run_vectorized(
-        self,
-        runs: list[_Run],
-        arrays: tuple[np.ndarray, ...],
-        dead_lids: set[int],
-        collect_collisions: bool,
-        recorder,
-        collisions: list[CollisionEvent],
-        faulted_at: dict[int, int],
-    ) -> tuple[int, int]:
-        """Partition the round into free and contended runs; batch the free.
-
-        Two events can only interact when they share a (link, wavelength)
-        channel and are at most ``max_worm_length - 1`` steps apart: an
-        occupancy written at ``t`` has expired by the time any event past
-        ``t + L - 1`` arrives. Sorting by (channel, time), one adjacent
-        gap test therefore finds every potentially conflicting pair; a
-        worm none of whose events touch such a pair is *free* -- it takes
-        the scalar fast path at every link, so its records can be written
-        in bulk. Everything else replays through ``_resolve_scalar`` over
-        just the contended events, which sees exactly the groups the full
-        scalar walk would have contended on. Returns ``(contended
-        coupler groups, free event count)``.
-        """
-        t, lid, wl, pos, ri = arrays
-        n = t.shape[0]
-        max_len = max(run.length for run in runs)
-
-        # Composite (link, wavelength) channel key; wavelengths are
-        # validated non-negative in _Run.__init__.
-        key = lid * (int(wl.max()) + 1) + wl
-        corder = np.lexsort((t, key))
-        k2 = key[corder]
-        t2 = t[corder]
-        clash = (k2[1:] == k2[:-1]) & (t2[1:] - t2[:-1] <= max_len - 1)
-        clashed = np.zeros(n, dtype=bool)
-        clashed[1:] = clash
-        clashed[:-1] |= clash
-        contended_run = np.zeros(len(runs), dtype=bool)
-        contended_run[ri[corder[clashed]]] = True
-        return self._apply_partition(
-            runs, arrays, contended_run, dead_lids, collect_collisions,
-            recorder, collisions, faulted_at,
-        )
-
     def _apply_partition(
         self,
         runs: list[_Run],
         arrays: tuple[np.ndarray, ...],
-        contended_run: np.ndarray,
+        clashed: np.ndarray,
         dead_lids: set[int],
         collect_collisions: bool,
         recorder,
         collisions: list[CollisionEvent],
         faulted_at: dict[int, int],
     ) -> tuple[int, int]:
-        """Resolve one round given its free/contended run partition.
+        """Resolve one round, replaying only its ``clashed`` events.
 
-        Shared tail of the vectorized and batched kernels: bulk-write the
-        free runs' records, emit their recorder events in global order,
-        and replay the contended subset through :meth:`_resolve_scalar`.
-        ``contended_run`` is the per-run contention mask (conservative);
-        event indices in ``arrays`` are the round's own (per-trial)
-        global positions. Returns ``(contended groups, free events)``.
+        Shared tail of the vectorized and batched kernels; event indices
+        in ``arrays`` are the round's own (per-trial) global positions.
+        An unclashed event is alone in its (time, link, wavelength) group
+        on an idle or stale channel, and its record never meets another
+        event: its worm advances if still alive there, or faults if the
+        link is dead. So only clashed events replay through
+        :meth:`_resolve_scalar`, and :meth:`_finalise` needs no records
+        of the others. A worm's first dead link among its unclashed
+        events caps the replay (its clashed events past the cap cannot
+        happen); a worm the replay leaves alive faults at its cap.
+        Returns ``(contended groups, events not replayed)``.
         """
         t, lid, wl, pos, ri = arrays
-        n = t.shape[0]
-        free_evt = ~contended_run[ri]
-
-        # Dead links: a free worm crossing one dies at its first dead
-        # link; later events of that worm never happen.
+        replay = clashed
+        capped = None
         if dead_lids:
             dead_arr = np.fromiter(dead_lids, dtype=np.int64, count=len(dead_lids))
-            dead_free = free_evt & np.isin(lid, dead_arr)
-            if dead_free.any():
-                never = np.iinfo(np.int64).max
-                first_dead = np.full(len(runs), never, dtype=np.int64)
-                np.minimum.at(first_dead, ri[dead_free], pos[dead_free])
-                hit = dead_free & (pos == first_dead[ri])
-                for g, dlid in zip(np.nonzero(hit)[0].tolist(), lid[hit].tolist()):
-                    if dlid not in faulted_at:
-                        faulted_at[dlid] = g  # ascending g: first hit wins
-                for k in np.nonzero(first_dead != never)[0].tolist():
-                    run = runs[k]
-                    run.dead_at = int(first_dead[k])
-                    run.faulted = True
-
-        # A free worm advances at every link before its (possible) fault;
-        # its occupancy ends grow with position, so only the last record
-        # matters for the makespan and nothing else ever reads the rest.
-        for k in np.nonzero(~contended_run)[0].tolist():
-            run = runs[k]
-            last = (run.n_links if run.dead_at is None else run.dead_at) - 1
-            if last >= 0:
-                entry = run.delay + last
-                run.records.append(
-                    _Record(run, last, entry, entry + run.cut_len - 1)
-                )
+            dark = ~clashed & np.isin(lid, dead_arr)
+            if dark.any():
+                cap = np.full(len(runs), self._max_links, dtype=np.int64)
+                np.minimum.at(cap, ri[dark], pos[dark])
+                capped = dark & (pos == cap[ri])
+                replay = clashed & (pos < cap[ri])
 
         emitter = _OrderedRecorder() if recorder is not None else None
-        if emitter is not None:
-            links = self._links
-            free_idx = np.nonzero(free_evt)[0].tolist()
-            for g, et, elid, ewl, ep, ek in zip(
-                free_idx,
-                t[free_evt].tolist(),
-                lid[free_evt].tolist(),
-                wl[free_evt].tolist(),
-                pos[free_evt].tolist(),
-                ri[free_evt].tolist(),
-            ):
-                run = runs[ek]
-                emitter.base = g
-                if run.dead_at is None or ep < run.dead_at:
-                    emitter.advance(run, et, ep, links[elid], ewl)
-                elif ep == run.dead_at and run.faulted:
-                    emitter.fault(run, et, ep, links[elid], ewl)
-
         contended = 0
-        cmask = contended_run[ri]
-        n_contended = int(cmask.sum())
-        if n_contended:
-            events = list(
-                zip(
-                    t[cmask].tolist(),
-                    lid[cmask].tolist(),
-                    wl[cmask].tolist(),
-                    pos[cmask].tolist(),
-                    ri[cmask].tolist(),
-                )
-            )
-            order = np.nonzero(cmask)[0].tolist()
-            sub_faults: dict[int, int] = {}
+        idx = np.nonzero(replay)[0]
+        if idx.shape[0]:
+            events = list(zip(*(col[idx].tolist() for col in arrays)))
             contended = self._resolve_scalar(
                 events, runs, dead_lids, collect_collisions, emitter,
-                collisions, sub_faults, order=order,
+                collisions, faulted_at, order=idx.tolist(),
             )
-            for dlid, g in sub_faults.items():
-                if dlid not in faulted_at or g < faulted_at[dlid]:
-                    faulted_at[dlid] = g
+
+        if capped is not None:
+            for g, k, p, dlid in zip(
+                np.nonzero(capped)[0].tolist(),
+                ri[capped].tolist(),
+                pos[capped].tolist(),
+                lid[capped].tolist(),
+            ):
+                run = runs[k]
+                if run.dead_at is None:
+                    run.dead_at = p
+                    run.faulted = True
+                    if dlid not in faulted_at or g < faulted_at[dlid]:
+                        faulted_at[dlid] = g
 
         if emitter is not None:
+            links = self._links
+            quiet = np.nonzero(~clashed)[0]
+            for g, et, elid, ewl, ep, ek in zip(
+                quiet.tolist(), *(col[quiet].tolist() for col in arrays)
+            ):
+                run = runs[ek]
+                dead = run.dead_at
+                if dead is not None and ep > dead:
+                    continue
+                # Cuts are logged in event order, each shorter than the last.
+                cut_len = run.length
+                for gc, _, new_len in run.cuts:
+                    if gc < g:
+                        cut_len = new_len
+                # An unclashed event can only stop its worm at a dead link.
+                name = "advance" if dead is None or ep < dead else "fault"
+                emitter.add(g, name, run, cut_len, et, ep, links[elid], ewl)
             emitter.flush(recorder)
-        return contended, n - n_contended
+        return contended, t.shape[0] - idx.shape[0]
 
     # -- helpers ---------------------------------------------------------------
 
@@ -871,56 +904,24 @@ class RoutingEngine:
         """Sorted head-arrival arrays ``(time, link_id, wavelength, pos, run_index)``.
 
         Batched with numpy: per-worm link-id/position arrays are precomputed
-        at construction, so a round only concatenates, shifts by the launch
-        delays, and lexsorts. The sort key (time, link, wavelength, pos,
+        at construction, so a round only gathers them, shifts by the launch
+        delays, and sorts. The sort key (time, link, wavelength, pos,
         run) is unique per event, so the order is exactly that of sorting
         the equivalent python tuples.
         """
         t, lid, wl, pos, ri = self._event_parts(runs)
-        order = np.lexsort((ri, pos, wl, lid, t))
-        return t[order], lid[order], wl[order], pos[order], ri[order]
-
-    def _event_parts(
-        self, runs: list[_Run]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Unsorted event columns ``(t, lid, wl, pos, ri)`` for ``runs``.
-
-        Column order is immaterial: the (time, link, wavelength, pos,
-        run) key is unique per event, so any subsequent lexsort fully
-        determines the canonical order regardless of input order.
-        """
-        t_parts: list[np.ndarray] = []
-        lid_parts: list[np.ndarray] = []
-        wl_parts: list[np.ndarray] = []
-        pos_parts: list[np.ndarray] = []
-        ri_parts: list[np.ndarray] = []
-        for ri, run in enumerate(runs):
-            lids = self._lid_arrays[run.uid]
-            pos = self._pos_arrays[run.uid]
-            n = len(lids)
-            lid_parts.append(lids)
-            pos_parts.append(pos)
-            t_parts.append(pos + run.delay)
-            wl = run.wavelength
-            if isinstance(wl, tuple):
-                wl_parts.append(np.asarray(wl, dtype=np.int64))
-            else:
-                wl_parts.append(np.full(n, wl, dtype=np.int64))
-            ri_parts.append(np.full(n, ri, dtype=np.int64))
-        return (
-            np.concatenate(t_parts),
-            np.concatenate(lid_parts),
-            np.concatenate(wl_parts),
-            np.concatenate(pos_parts),
-            np.concatenate(ri_parts),
+        order = _lexorder(
+            (t, lid, wl, pos, ri),
+            (int(t.max()) + 1, len(self._links), int(wl.max()) + 1,
+             self._max_links, len(runs)),
         )
+        return t[order], lid[order], wl[order], pos[order], ri[order]
 
     def _event_table(self) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
         """Concatenated per-worm event columns plus per-uid start offsets.
 
-        The batched kernel's fast event builder gathers a round's events
-        from this fixed table with one fancy-index pass instead of one
-        small-array append loop per worm. Rebuilt lazily after any
+        :meth:`_event_parts` gathers a round's events from this fixed
+        table with one fancy-index pass. Rebuilt lazily after any
         ``add_worms``/``retire_worms``.
         """
         table = self._ev_table
@@ -941,34 +942,43 @@ class RoutingEngine:
             self._ev_table = table
         return table
 
-    def _batch_event_parts(
+    def _event_parts(
         self, runs: list[_Run]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Unsorted event columns for one round, built by table gather.
+        """Unsorted event columns ``(t, lid, wl, pos, ri)`` for ``runs``.
 
-        Semantically identical to :meth:`_event_parts` (the follow-up
-        lexsort makes input order immaterial) but one vectorized gather
-        instead of a per-worm python loop. Launches carrying per-link
-        wavelength tuples fall back to the scalar assembly.
+        One vectorized gather from the event table instead of a per-worm
+        loop. Row order is immaterial: the (time, link, wavelength, pos,
+        run) key is unique per event, so the follow-up sort fixes the
+        canonical order regardless of input order.
         """
-        if any(isinstance(run.wavelength, tuple) for run in runs):
-            return self._event_parts(runs)
         ev_lid, ev_pos, spans = self._event_table()
         k = len(runs)
         counts = np.fromiter((run.n_links for run in runs), dtype=np.int64, count=k)
         starts = np.fromiter((spans[run.uid] for run in runs), dtype=np.int64, count=k)
         delays = np.fromiter((run.delay for run in runs), dtype=np.int64, count=k)
-        wls = np.fromiter((run.wavelength for run in runs), dtype=np.int64, count=k)
         total = int(counts.sum())
         # Segmented arange: event e of run k gathers table row starts[k]+e.
         flat0 = np.cumsum(counts) - counts
         idx = np.arange(total, dtype=np.int64)
         idx += np.repeat(starts - flat0, counts)
         pos = ev_pos[idx]
+        wls = [run.wavelength for run in runs]
+        if any(isinstance(w, tuple) for w in wls):
+            wl = np.fromiter(
+                chain.from_iterable(
+                    w if isinstance(w, tuple) else repeat(w, n)
+                    for w, n in zip(wls, counts.tolist())
+                ),
+                dtype=np.int64,
+                count=total,
+            )
+        else:
+            wl = np.repeat(np.asarray(wls, dtype=np.int64), counts)
         return (
             pos + np.repeat(delays, counts),
             ev_lid[idx],
-            np.repeat(wls, counts),
+            wl,
             pos,
             np.repeat(np.arange(k, dtype=np.int64), counts),
         )
@@ -1006,9 +1016,11 @@ class RoutingEngine:
     @staticmethod
     def _finalise(runs: list[_Run]) -> tuple[dict[int, WormOutcome], int | None]:
         outcomes: dict[int, WormOutcome] = {}
-        makespan: int | None = None
+        makespan = -1
         for run in runs:
             if run.dead_at is not None:
+                # A worm lost at its first link never moved a flit.
+                end = _last_step(run, run.dead_at - 1) if run.dead_at else -1
                 outcomes[run.uid] = WormOutcome(
                     worm=run.uid,
                     delivered=False,
@@ -1022,6 +1034,7 @@ class RoutingEngine:
                     blockers=tuple(run.blockers),
                 )
             elif run.cut_len < run.length:
+                end = _last_step(run, run.n_links - 1)
                 completion = run.delay + run.n_links - 1 + run.cut_len - 1
                 outcomes[run.uid] = WormOutcome(
                     worm=run.uid,
@@ -1033,6 +1046,7 @@ class RoutingEngine:
                 )
             else:
                 completion = run.delay + run.n_links - 1 + run.length - 1
+                end = completion  # uncut: its last record ends last
                 outcomes[run.uid] = WormOutcome(
                     worm=run.uid,
                     delivered=True,
@@ -1040,15 +1054,9 @@ class RoutingEngine:
                     completion_time=completion,
                     blockers=tuple(run.blockers),
                 )
-            # The last step any of this worm's flits moved: every flit
-            # crossing lives inside some occupancy record, and each record
-            # end is achieved by the last surviving flit through that link
-            # (truncation caps included). A worm cut at its very first link
-            # never moved a flit and contributes nothing.
-            for rec in run.records:
-                if makespan is None or rec.end > makespan:
-                    makespan = rec.end
-        return outcomes, makespan
+            if end > makespan:
+                makespan = end
+        return outcomes, (makespan if makespan >= 0 else None)
 
 
 def run_round(
@@ -1089,21 +1097,24 @@ def run_round_batch(calls: Sequence[RoundCall]) -> list[RoundResult]:
 
     This is the batched backend's kernel: every call's head-arrival
     events are stacked into single ``(trial, link, wavelength)``-keyed
-    arrays so the canonical lexsort and the adjacent-gap conflict test
-    amortise across the whole batch, then each trial's contended subset
-    replays through the scalar resolver exactly as the vectorized
-    backend would have done alone.
+    arrays so the canonical sort, the channel sort and the adjacent-gap
+    clash test amortise across the whole batch, then each trial's
+    clashed events replay through the scalar resolver exactly as the
+    vectorized backend would have done alone.
 
-    Bit-identity argument: the batch lexsorts use the trial id as the
-    most-significant key, so restricting the stable sort to one trial's
-    events reproduces that trial's own sort (the per-trial key tuples
-    are unique); the conflict test masks cross-trial adjacencies and
-    uses each trial's own ``max_worm_length - 1`` gap, so the per-trial
-    contention masks -- and hence outcomes, collision order, fault
-    attribution, and recorder streams -- match single-trial
-    ``run_round`` exactly. Wall-clock stage timings are attributed to
-    each trial as an equal share of the shared batch stages (the
-    metrics contract leaves timing histograms run-dependent).
+    Bit-identity argument: both batch sorts use the trial id as the
+    most-significant key, so restricting the canonical order to one
+    trial's events reproduces that trial's own sort (the per-trial key
+    tuples are unique); the clash test keys channels by trial and uses
+    each trial's own ``max_worm_length - 1`` gap, so the per-trial clash
+    masks -- and hence outcomes, collision order, fault attribution, and
+    recorder streams -- match single-trial ``run_round`` exactly.
+
+    Timings are measured, never apportioned: each trial's
+    ``engine_stage_seconds`` get the work done for that trial alone
+    (its event columns, its replay, its finalise), and the shared
+    stacking and sorting is observed once per batch as
+    ``engine_batch_stage_seconds`` in the process-default registry.
     """
     if not calls:
         return []
@@ -1121,9 +1132,8 @@ def _run_round_batch(
     """The batch body behind :func:`run_round_batch`'s span wrapper."""
     results: list[RoundResult | None] = [None] * len(calls)
     # Per live trial: (call index, engine, metrics, observe, runs,
-    # dead_lids, unsorted event columns, adjacency gap).
+    # dead_lids, unsorted event columns, adjacency gap, build seconds).
     states: list[tuple] = []
-    t_batch = time.perf_counter()
     with prof.span("engine.build_events"):
         for ci, call in enumerate(calls):
             eng = call.engine
@@ -1140,15 +1150,18 @@ def _run_round_batch(
                     outcomes={}, collisions=(), makespan=None
                 )
                 continue
+            t_trial = time.perf_counter() if observe else 0.0
             runs = eng._begin_runs(call.launches, call.recorder)
-            parts = eng._batch_event_parts(runs)
+            parts = eng._event_parts(runs)
             gap = max(run.length for run in runs) - 1
+            dead_lids = eng._dead_lids(call.dead_links)
+            t_events = time.perf_counter() - t_trial if observe else 0.0
             states.append(
-                (ci, eng, metrics, observe, runs,
-                 eng._dead_lids(call.dead_links), parts, gap)
+                (ci, eng, metrics, observe, runs, dead_lids, parts, gap, t_events)
             )
         if not states:
             return results  # type: ignore[return-value]
+        t_stack = time.perf_counter()
         k_live = len(states)
         counts = np.fromiter(
             (s[6][0].shape[0] for s in states), dtype=np.int64, count=k_live
@@ -1158,63 +1171,59 @@ def _run_round_batch(
             np.fromiter((s[7] for s in states), dtype=np.int64, count=k_live),
             counts,
         )
-        bt = np.concatenate([s[6][0] for s in states])
-        blid = np.concatenate([s[6][1] for s in states])
-        bwl = np.concatenate([s[6][2] for s in states])
-        bpos = np.concatenate([s[6][3] for s in states])
-        bri = np.concatenate([s[6][4] for s in states])
-    t_build = time.perf_counter() - t_batch
+        bt, blid, bwl, bpos, bri = (
+            np.concatenate([s[6][c] for s in states]) for c in range(5)
+        )
+        t_stack = time.perf_counter() - t_stack
 
-    t_stage = time.perf_counter()
+    t_sort = time.perf_counter()
     with prof.span("engine.resolve"):
+        t_bound = int(bt.max()) + 1
+        n_links = max(len(s[1]._links) for s in states)
+        radix = int(bwl.max()) + 1
         # Canonical order: trial-major, then each trial's unique
-        # (t, lid, wl, pos, ri) key -- slicing out one trial yields
-        # exactly its single-trial _build_event_arrays output.
-        corder = np.lexsort((bri, bpos, bwl, blid, bt, btri))
-        bounds = np.searchsorted(btri[corder], np.arange(k_live + 1))
-        # Partition order: trial-major (channel, time). The global
-        # wavelength radix keeps (lid, wl) -> key injective; channel
-        # *grouping* within a trial is what matters, not group order.
-        key = blid * (int(bwl.max()) + 1) + bwl
-        porder = np.lexsort((bt, key, btri))
-        tri2 = btri[porder]
-        k2 = key[porder]
-        t2 = bt[porder]
-        clash = (
-            (tri2[1:] == tri2[:-1])
-            & (k2[1:] == k2[:-1])
-            & (t2[1:] - t2[:-1] <= bgap[porder][1:])
+        # (t, lid, wl, pos, ri) key. Trials keep their input blocks, so
+        # one trial's slice is exactly its _build_event_arrays output.
+        corder = _lexorder(
+            (btri, bt, blid, bwl, bpos, bri),
+            (k_live, t_bound, n_links, radix,
+             max(s[1]._max_links for s in states),
+             max(len(s[4]) for s in states)),
         )
-        clashed = np.zeros(bt.shape[0], dtype=bool)
-        clashed[1:] = clash
-        clashed[:-1] |= clash
-        # Flatten (trial, run) so one scatter marks every contended run.
-        run_counts = np.fromiter(
-            (len(s[4]) for s in states), dtype=np.int64, count=k_live
+        bounds = np.zeros(k_live + 1, dtype=np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        # Clash test over (trial, link, wavelength) channels; the global
+        # radix keeps the composite key injective.
+        clashed = _clashed(
+            (btri * n_links + blid) * radix + bwl, bt, bgap,
+            k_live * n_links * radix, t_bound,
         )
-        run_off = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(run_counts))
+        # One gather per column; each trial is then a contiguous slice.
+        bt, blid, bwl, bpos, bri, clashed = (
+            col[corder] for col in (bt, blid, bwl, bpos, bri, clashed)
         )
-        hit = porder[clashed]
-        contended_flat = np.zeros(int(run_off[-1]), dtype=bool)
-        contended_flat[run_off[btri[hit]] + bri[hit]] = True
-    t_part = time.perf_counter() - t_stage
+    t_sort = time.perf_counter() - t_sort
 
-    for si, (ci, eng, metrics, observe, runs, dead_lids, _, _) in enumerate(
+    batch_metrics = get_metrics()
+    if batch_metrics.enabled:
+        batch_metrics.observe(
+            "engine_batch_stage_seconds", t_stack, stage="build_events"
+        )
+        batch_metrics.observe("engine_batch_stage_seconds", t_sort, stage="sort")
+
+    for si, (ci, eng, metrics, observe, runs, dead_lids, _, _, t_events) in enumerate(
         states
     ):
         call = calls[ci]
         t_trial = time.perf_counter() if observe else 0.0
-        sl = corder[bounds[si]:bounds[si + 1]]
-        arrays = (bt[sl], blid[sl], bwl[sl], bpos[sl], bri[sl])
+        lo, hi = int(bounds[si]), int(bounds[si + 1])
+        arrays = (bt[lo:hi], blid[lo:hi], bwl[lo:hi], bpos[lo:hi], bri[lo:hi])
         collisions: list[CollisionEvent] = []
         faulted_at: dict[int, int] = {}
         with prof.span("engine.resolve"):
             contended, free_events = eng._apply_partition(
-                runs, arrays,
-                contended_flat[run_off[si]:run_off[si + 1]],
-                dead_lids, call.collect_collisions, call.recorder,
-                collisions, faulted_at,
+                runs, arrays, clashed[lo:hi], dead_lids,
+                call.collect_collisions, call.recorder, collisions, faulted_at,
             )
         if observe:
             t_resolve = time.perf_counter() - t_trial
@@ -1230,12 +1239,12 @@ def _run_round_batch(
             eng._record_metrics(
                 metrics,
                 outcomes,
-                n_events=int(arrays[0].shape[0]),
+                n_events=hi - lo,
                 contended=contended,
-                t_events=t_build / k_live,
-                t_resolve=t_part / k_live + t_resolve,
+                t_events=t_events,
+                t_resolve=t_resolve,
                 t_finalise=t_finalise,
-                t_round=(t_build + t_part) / k_live + t_resolve + t_finalise,
+                t_round=t_events + t_resolve + t_finalise,
                 free_events=free_events,
             )
         results[ci] = RoundResult(

@@ -57,7 +57,7 @@ import pathlib
 import pickle
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -68,6 +68,23 @@ from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
 
 __all__ = ["TrialProgress", "TrialRunner", "spawn_seeds"]
+
+
+def _submit(pool: ProcessPoolExecutor, fn: Callable, arg) -> Future:
+    """``pool.submit``, reporting a pool that broke mid-submission in the future.
+
+    A worker can die while later work is still being submitted, and the
+    pool then refuses the rest. Handing back a future that carries the
+    BrokenProcessPool lets the settle loop rebuild the pool exactly as
+    for a break it sees while waiting.
+    """
+    try:
+        return pool.submit(fn, arg)
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
 
 _log = logging.getLogger(__name__)
 
@@ -577,7 +594,7 @@ class TrialRunner:
 
         def submit_all() -> dict:
             return {
-                i: pool.submit(_worker_run, seed)
+                i: _submit(pool, _worker_run, seed)
                 for i, seed in enumerate(seeds)
                 if i not in preloaded
             }
@@ -609,7 +626,7 @@ class TrialRunner:
             pool = make_pool()
             for j in pending:
                 attempts[j] += 1
-                futures[j] = pool.submit(_worker_run, seeds[j])
+                futures[j] = _submit(pool, _worker_run, seeds[j])
 
         try:
             futures = submit_all()
@@ -641,7 +658,7 @@ class TrialRunner:
                             ) from exc
                         attempts[i] += 1
                         metrics.inc("runner_retries_total", mode="pool")
-                        futures[i] = pool.submit(_worker_run, seed)
+                        futures[i] = _submit(pool, _worker_run, seed)
                     except Exception as exc:
                         if attempts[i] > self.retries:
                             metrics.inc("runner_trials_failed_total", mode="pool")
@@ -655,7 +672,7 @@ class TrialRunner:
                             ) from exc
                         attempts[i] += 1
                         metrics.inc("runner_retries_total", mode="pool")
-                        futures[i] = pool.submit(_worker_run, seed)
+                        futures[i] = _submit(pool, _worker_run, seed)
                 if ckpt is not None:
                     ckpt.record(i, results[i])
                     metrics.inc("runner_checkpoint_writes_total")
@@ -817,9 +834,7 @@ class TrialRunner:
         pool = make_pool()
 
         def submit_unit(unit: list[int]):
-            return pool.submit(
-                _worker_run_batch, [seeds[i] for i in unit]
-            )
+            return _submit(pool, _worker_run_batch, [seeds[i] for i in unit])
 
         def rebuild_pool(exc: BaseException) -> None:
             # Same recovery contract as the per-seed pool: a broken pool

@@ -4,8 +4,10 @@ Covers: the ``backend=`` knob (constructor, process default, unknown
 values), the empty-launch observability fix (rounds are tallied even
 when nothing launches), launch validation at the engine boundary
 (negative delays / wavelengths raise ``ProtocolError`` even from
-launch-shaped objects that bypassed ``Launch``'s own checks), and the
-stale-occupancy eviction (the dict stays bounded across a long round).
+launch-shaped objects that bypassed ``Launch``'s own checks), the
+stale-occupancy eviction (the dict stays bounded across a long round),
+and fixed cases of the clash-only replay (truncation, dead links and
+recorder streams around one clashed event).
 Backend *equivalence* is property-tested in
 ``tests/property/test_differential_backend.py``.
 """
@@ -14,16 +16,21 @@ import pytest
 
 from repro.core.engine import (
     BACKENDS,
+    RoundCall,
     RoutingEngine,
+    _clashed,
     get_default_backend,
     run_round,
+    run_round_batch,
     set_default_backend,
 )
 from repro.core.records import RoundResult
+from repro.core.reference import reference_run_round
 from repro.errors import ProtocolError
+from repro.observability.flightrec import FlightRecorder
 from repro.observability.metrics import MetricsRegistry
-from repro.optics.coupler import CollisionRule
-from repro.worms.worm import Launch, Worm
+from repro.optics.coupler import CollisionRule, TieRule
+from repro.worms.worm import FailureKind, Launch, Worm
 
 
 def _chain_worms(n, path=(0, 1, 2), length=2):
@@ -249,3 +256,196 @@ class TestFork:
         clone._register(Worm(uid=99, path=(0, 1), length=1))
         assert 99 in clone._worms
         assert 99 not in parent._worms
+
+
+class _Collector:
+    """In-memory trace writer: ``.records`` of plain dicts."""
+
+    def __init__(self):
+        self.records = []
+
+    def write(self, kind, **fields):
+        self.records.append({"kind": kind, **fields})
+
+
+#: Worm A's path: seven links, each used by no other worm except where a
+#: case routes a crossing worm through one of them.
+_LINE = (0, 1, 2, 3, 4, 5, 6, 7)
+
+
+def _all_backends(worms, launches, rule, dead_links=()):
+    """Run one round on every backend, the batch kernel and the oracle.
+
+    Returns ``(results, streams, engine)``: the backends' RoundResults
+    plus ``reference_run_round``'s, and each backend's flight-recorder
+    stream.
+    """
+    results, streams = {}, {}
+    for backend in ("python", "vectorized", "batched", "batch-kernel"):
+        collector = _Collector()
+        recorder = FlightRecorder(collector)
+        recorder.describe_worms(worms)
+        recorder.begin_round(1)
+        engine = RoutingEngine(
+            worms, rule, TieRule.ALL_LOSE,
+            backend="batched" if backend == "batch-kernel" else backend,
+        )
+        if backend == "batch-kernel":
+            [result] = run_round_batch([RoundCall(
+                engine, launches, dead_links=dead_links or None,
+                recorder=recorder,
+            )])
+        else:
+            result = engine.run_round(
+                launches, dead_links=dead_links or None, recorder=recorder
+            )
+        recorder.end_round(result.makespan)
+        results[backend], streams[backend] = result, collector.records
+    results["reference"] = reference_run_round(
+        worms, launches, rule, TieRule.ALL_LOSE, dead_links=dead_links or None
+    )
+    return results, streams, engine
+
+
+def _assert_identical(results, streams):
+    py = results["python"]
+    for backend in ("vectorized", "batched", "batch-kernel"):
+        assert results[backend] == py, backend
+        assert results[backend].faulted_links == py.faulted_links, backend
+        assert streams[backend] == streams["python"], backend
+    ref = results["reference"]
+    assert ref.outcomes == py.outcomes
+    assert ref.makespan == py.makespan
+
+
+def _clashed_positions(engine, launches, uid):
+    """The positions of worm ``uid`` whose events the partition replays."""
+    runs = engine._begin_runs(launches, None)
+    t, lid, wl, pos, ri = engine._build_event_arrays(runs)
+    radix = int(wl.max()) + 1
+    gap = max(run.length for run in runs) - 1
+    mask = _clashed(
+        lid * radix + wl, t, gap, len(engine._links) * radix, int(t[-1]) + 1
+    )
+    k = next(i for i, run in enumerate(runs) if run.uid == uid)
+    return sorted(pos[mask & (ri == k)].tolist())
+
+
+class TestClashReplay:
+    """The partition replays only clashed events, never a whole worm.
+
+    In each case worm 0 runs along ``_LINE`` and meets another worm on
+    exactly one link, so it has unclashed events both before and after
+    its one clashed event. Every backend, the stacked batch kernel and
+    the flit-level oracle must agree on the whole RoundResult, and the
+    backends on the flight-recorder stream.
+    """
+
+    def _truncation_case(self):
+        # Worm 1 (higher priority, one flit) reaches link (3, 4) at t=5
+        # while worm 0 holds it since t=3: worm 0 is cut to 5 - 3 = 2
+        # flits there, and every record from position 3 on is capped.
+        worms = [
+            Worm(uid=0, path=_LINE, length=4),
+            Worm(uid=1, path=(10, 3, 4, 11), length=1),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0, priority=0),
+            Launch(worm=1, delay=4, wavelength=0, priority=1),
+        ]
+        return worms, launches
+
+    def test_truncation_caps_unclashed_records(self):
+        worms, launches = self._truncation_case()
+        results, streams, engine = _all_backends(
+            worms, launches, CollisionRule.PRIORITY
+        )
+        _assert_identical(results, streams)
+        assert _clashed_positions(engine, launches, 0) == [3]
+        cut = results["python"].outcomes[0]
+        assert cut.failure is FailureKind.TRUNCATED
+        assert cut.delivered_flits == 2
+        # Worm 0's last record (position 6, entered at t=6) carries the
+        # cut length: 6 + 2 - 1. Uncapped it would end at 6 + 4 - 1, and
+        # worm 1's last record ends at t=6.
+        assert results["python"].makespan == 7
+
+    def test_recorder_sees_cut_length_in_force(self):
+        worms, launches = self._truncation_case()
+        _, streams, _ = _all_backends(worms, launches, CollisionRule.PRIORITY)
+        surviving = {
+            r["pos"]: r["surviving"]
+            for r in streams["vectorized"]
+            if r["kind"] == "worm_advance" and r["worm"] == 0
+        }
+        # The cut lands in the (t=5, link (3, 4)) group, which sorts
+        # before worm 0's own t=5 event on link (5, 6).
+        assert surviving == {0: 4, 1: 4, 2: 4, 3: 4, 4: 4, 5: 2, 6: 2}
+
+    def _elimination_case(self):
+        # Worm 1 holds link (3, 4) from t=2 to t=5; worm 0 arrives there
+        # at t=3 and is eliminated (serve-first). Worm 2 crosses link
+        # (5, 6) at t=10, long after worm 0's slot there, so its event
+        # is unclashed too.
+        worms = [
+            Worm(uid=0, path=_LINE, length=4),
+            Worm(uid=1, path=(20, 3, 4, 21), length=4),
+            Worm(uid=2, path=(30, 5, 6, 31), length=4),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=1, delay=1, wavelength=0),
+            Launch(worm=2, delay=9, wavelength=0),
+        ]
+        return worms, launches
+
+    def test_elimination_without_faults(self):
+        worms, launches = self._elimination_case()
+        results, streams, engine = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST
+        )
+        _assert_identical(results, streams)
+        assert _clashed_positions(engine, launches, 0) == [3]
+        lost = results["python"].outcomes[0]
+        assert lost.failure is FailureKind.ELIMINATED
+        assert lost.failed_at_link == 3
+
+    def test_dead_link_downstream_of_elimination(self):
+        # Worm 0 dies at (3, 4) before reaching the dead (5, 6); worm 2
+        # is the only head lost there.
+        worms, launches = self._elimination_case()
+        results, streams, _ = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(5, 6)]
+        )
+        _assert_identical(results, streams)
+        out = results["python"].outcomes
+        assert out[0].failure is FailureKind.ELIMINATED
+        assert out[2].failure is FailureKind.FAULTED
+        assert results["python"].faulted_links == ((5, 6),)
+
+    def test_dead_link_upstream_of_elimination(self):
+        # Worm 0 faults at (1, 2) at t=1, so its clashed event at (3, 4)
+        # never happens and worm 1 crosses unopposed.
+        worms, launches = self._elimination_case()
+        results, streams, _ = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(1, 2)]
+        )
+        _assert_identical(results, streams)
+        out = results["python"].outcomes
+        assert out[0].failure is FailureKind.FAULTED
+        assert out[0].failed_at_link == 1
+        assert out[1].delivered
+        assert results["python"].collisions == ()
+
+    def test_dead_links_on_both_sides(self):
+        worms, launches = self._elimination_case()
+        results, streams, _ = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST,
+            dead_links=[(5, 6), (1, 2)],
+        )
+        _assert_identical(results, streams)
+        out = results["python"].outcomes
+        assert out[0].failed_at_link == 1 and out[0].failure is FailureKind.FAULTED
+        assert out[2].failure is FailureKind.FAULTED
+        # Attribution follows event order: worm 0's t=1 hit comes first.
+        assert results["python"].faulted_links == ((1, 2), (5, 6))

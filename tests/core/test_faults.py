@@ -7,6 +7,7 @@ from repro.core.protocol import ProtocolConfig, route_collection
 from repro.core.schedule import GeometricSchedule
 from repro.core.stats import failure_breakdown
 from repro.errors import ProtocolError
+from repro.faults import TransientLinkFaults
 from repro.optics.coupler import CollisionRule
 from repro.paths.collection import PathCollection
 from repro.paths.gadgets import type2_bundle
@@ -102,7 +103,7 @@ class TestProtocolFaults:
         result = route_collection(
             coll,
             bandwidth=2,
-            fault_rate=0.15,
+            faults=TransientLinkFaults(0.15),
             schedule=GeometricSchedule(c_congestion=2.0),
             max_rounds=500,
             rng=0,
@@ -125,7 +126,7 @@ class TestProtocolFaults:
                 lambda s: route_collection(
                     coll,
                     bandwidth=2,
-                    fault_rate=rate,
+                    faults=TransientLinkFaults(rate),
                     schedule=GeometricSchedule(c_congestion=2.0),
                     max_rounds=1000,
                     rng=s,
@@ -139,7 +140,11 @@ class TestProtocolFaults:
     def test_fault_counts_in_records(self):
         coll = type2_bundle(congestion=8, D=10).collection
         result = route_collection(
-            coll, bandwidth=2, fault_rate=0.25, max_rounds=500, rng=1
+            coll,
+            bandwidth=2,
+            faults=TransientLinkFaults(0.25),
+            max_rounds=500,
+            rng=1,
         )
         assert result.completed
         assert sum(r.faulted for r in result.records) > 0

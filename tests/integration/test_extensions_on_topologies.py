@@ -13,6 +13,7 @@ from repro.experiments.workloads import (
     mesh_random_function,
     torus_random_function,
 )
+from repro.faults import TransientLinkFaults
 from repro.network.hypercube import Hypercube
 from repro.optics.coupler import CollisionRule
 
@@ -77,7 +78,7 @@ class TestSimpleWalksRouteEverywhere:
             coll,
             bandwidth=4,
             worm_length=3,
-            fault_rate=0.1,
+            faults=TransientLinkFaults(0.1),
             schedule=SCHED,
             max_rounds=500,
             rng=5,

@@ -1,10 +1,12 @@
 """BrokenProcessPool recovery: rebuild the pool, resubmit, bounded cap."""
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import pytest
 
+import repro.runners.trial as trial_module
 from repro.errors import TrialError
 from repro.observability import MetricsRegistry
 from repro.runners import TrialRunner, spawn_seeds
@@ -83,3 +85,44 @@ class TestPoolRebuild:
         ).run_seeds(seeds)
         assert again == out
         assert reg.value("runner_checkpoint_loaded_total") == len(seeds)
+
+
+class _RefusingPool:
+    """A process pool that is already broken when work is submitted.
+
+    The real race: a worker dies while later trials are still being
+    submitted, and the pool refuses the rest with BrokenProcessPool.
+    """
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, *args):
+        raise BrokenProcessPool("a worker died during submission")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBreakDuringSubmission:
+    """A pool broken under the submit loop counts as a rebuild, not a crash."""
+
+    @pytest.fixture(autouse=True)
+    def _refusing_pool(self, monkeypatch):
+        monkeypatch.setattr(trial_module, "ProcessPoolExecutor", _RefusingPool)
+
+    def test_per_seed_pool_hits_cap(self):
+        reg = MetricsRegistry()
+        runner = TrialRunner(_always_crashes, jobs=2, metrics=reg)
+        with pytest.raises(TrialError, match="pool broke"):
+            runner.run_seeds(spawn_seeds(0, 4))
+        assert reg.value("runner_pool_rebuilds_total") == 4
+
+    def test_batch_pool_hits_cap(self):
+        reg = MetricsRegistry()
+        runner = TrialRunner(
+            _always_crashes, jobs=2, batch_size=2, metrics=reg
+        )
+        with pytest.raises(TrialError, match="pool broke"):
+            runner.run_seeds(spawn_seeds(0, 4))
+        assert reg.value("runner_pool_rebuilds_total") == 4

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.workloads import mesh_random_function
+from repro.faults import TransientLinkFaults
 from repro.optics.coupler import CollisionRule
 from repro.runners import protocol_trial, route_collection_trials, spawn_seeds
 
@@ -133,7 +134,7 @@ class TestBatchedBackendDispatch:
 
     def test_faulty_config_still_bit_identical(self, collection):
         kwargs = dict(
-            bandwidth=2, trials=4, seed=17, fault_rate=0.05,
+            bandwidth=2, trials=4, seed=17, faults=TransientLinkFaults(0.05),
             repair="reroute",
         )
         base = route_collection_trials(
