@@ -191,7 +191,6 @@ class _Run:
         "delay",
         "wavelength",
         "priority",
-        "link_ids",
         "cut_len",
         "dead_at",
         "faulted",
@@ -200,7 +199,7 @@ class _Run:
         "records",
     )
 
-    def __init__(self, worm: Worm, launch: Launch, link_ids: list[int]) -> None:
+    def __init__(self, worm: Worm, launch: Launch) -> None:
         self.uid = worm.uid
         self.length = worm.length
         self.n_links = worm.n_links
@@ -224,7 +223,6 @@ class _Run:
             raise ProtocolError(f"worm {worm.uid}: negative wavelength {wl}")
         self.wavelength = wl
         self.priority = launch.priority
-        self.link_ids = link_ids
         self.cut_len = worm.length
         self.dead_at: int | None = None
         self.faulted = False
@@ -365,18 +363,15 @@ class RoutingEngine:
         self._metrics = metrics
         self._profiler = profiler
         self._worms: dict[int, Worm] = {}
-        self._link_ids: dict[int, list[int]] = {}
         self._link_index: dict[tuple, int] = {}
         self._links: list[tuple] = []
         self._lid_arrays: dict[int, np.ndarray] = {}
-        self._pos_arrays: dict[int, np.ndarray] = {}
         # Lazily built concatenated event table (see _event_table);
         # invalidated whenever the worm set changes.
         self._ev_table: tuple[np.ndarray, np.ndarray, dict[int, int]] | None = None
         # Bound on every event position (never lowered by retirement).
         self._max_links = 1
-        for w in worms:
-            self._register(w)
+        self._register(worms)
 
     def fork(self, metrics: "MetricsRegistry | None" = _INHERIT) -> "RoutingEngine":
         """A new engine sharing this one's precomputed link layout.
@@ -399,33 +394,49 @@ class RoutingEngine:
         clone._metrics = self._metrics if metrics is _INHERIT else metrics
         clone._profiler = self._profiler
         clone._worms = dict(self._worms)
-        clone._link_ids = dict(self._link_ids)
         clone._link_index = dict(self._link_index)
         clone._links = list(self._links)
         clone._lid_arrays = dict(self._lid_arrays)
-        clone._pos_arrays = dict(self._pos_arrays)
         clone._ev_table = self._event_table()
         clone._max_links = self._max_links
         return clone
 
-    def _register(self, w: Worm) -> None:
-        if w.uid in self._worms:
-            raise ProtocolError(f"duplicate worm uid {w.uid}")
+    def _register(self, worms: Sequence[Worm]) -> None:
+        """Register ``worms`` in one pass (construction and ``add_worms``).
+
+        Every uid is checked before any worm is registered, so a call
+        naming a duplicate (within itself or of a registered worm)
+        leaves the engine unchanged. New links get ids in order of first
+        appearance, worm by worm; the per-worm link-id arrays are views
+        into one array.
+        """
+        seen: set[int] = set()
+        for w in worms:
+            if w.uid in self._worms or w.uid in seen:
+                raise ProtocolError(f"duplicate worm uid {w.uid}")
+            seen.add(w.uid)
+        if not worms:
+            return
+        index = self._link_index
+        links = self._links
+        flat: list[int] = []
+        for w in worms:
+            path = w.path
+            for link in zip(path, path[1:]):
+                lid = index.get(link)
+                if lid is None:
+                    lid = index[link] = len(links)
+                    links.append(link)
+                flat.append(lid)
+        lids = np.asarray(flat, dtype=np.int64)
+        off = 0
+        for w in worms:
+            end = off + len(w.path) - 1
+            self._worms[w.uid] = w
+            self._lid_arrays[w.uid] = lids[off:end]
+            self._max_links = max(self._max_links, end - off)
+            off = end
         self._ev_table = None
-        self._worms[w.uid] = w
-        ids = []
-        for a, b in zip(w.path, w.path[1:]):
-            link = (a, b)
-            lid = self._link_index.get(link)
-            if lid is None:
-                lid = len(self._link_index)
-                self._link_index[link] = lid
-                self._links.append(link)
-            ids.append(lid)
-        self._link_ids[w.uid] = ids
-        self._lid_arrays[w.uid] = np.asarray(ids, dtype=np.int64)
-        self._pos_arrays[w.uid] = np.arange(len(ids), dtype=np.int64)
-        self._max_links = max(self._max_links, len(ids))
 
     @property
     def worms(self) -> dict[int, Worm]:
@@ -439,8 +450,7 @@ class RoutingEngine:
         ids never move, so rounds before and after an admission see the
         same per-link identities on both backends.
         """
-        for w in worms:
-            self._register(w)
+        self._register(worms)
 
     def retire_worms(self, uids: Sequence[int]) -> None:
         """Drop delivered or expired worms' per-worm state.
@@ -455,9 +465,7 @@ class RoutingEngine:
                 raise ProtocolError(f"cannot retire unknown worm uid {uid}")
             self._ev_table = None
             del self._worms[uid]
-            del self._link_ids[uid]
             del self._lid_arrays[uid]
-            del self._pos_arrays[uid]
 
     def run_round(
         self,
@@ -598,7 +606,7 @@ class RoutingEngine:
             if launch.worm in seen:
                 raise ProtocolError(f"worm uid {launch.worm} launched twice")
             seen.add(launch.worm)
-            runs.append(_Run(worm, launch, self._link_ids[launch.worm]))
+            runs.append(_Run(worm, launch))
         if recorder is not None:
             for run in runs:
                 recorder.launch(run)
@@ -903,8 +911,8 @@ class RoutingEngine:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Sorted head-arrival arrays ``(time, link_id, wavelength, pos, run_index)``.
 
-        Batched with numpy: per-worm link-id/position arrays are precomputed
-        at construction, so a round only gathers them, shifts by the launch
+        Batched with numpy: per-worm link-id arrays are precomputed at
+        construction, so a round only gathers them, shifts by the launch
         delays, and sorts. The sort key (time, link, wavelength, pos,
         run) is unique per event, so the order is exactly that of sorting
         the equivalent python tuples.
@@ -918,7 +926,7 @@ class RoutingEngine:
         return t[order], lid[order], wl[order], pos[order], ri[order]
 
     def _event_table(self) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-        """Concatenated per-worm event columns plus per-uid start offsets.
+        """Concatenated per-worm link ids and positions plus per-uid offsets.
 
         :meth:`_event_parts` gathers a round's events from this fixed
         table with one fancy-index pass. Rebuilt lazily after any
@@ -926,18 +934,14 @@ class RoutingEngine:
         """
         table = self._ev_table
         if table is None:
-            lid_parts = list(self._lid_arrays.values())
-            pos_parts = list(self._pos_arrays.values())
-            starts: dict[int, int] = {}
-            off = 0
-            for uid, arr in self._lid_arrays.items():
-                starts[uid] = off
-                off += len(arr)
-            empty = np.empty(0, dtype=np.int64)
+            parts = list(self._lid_arrays.values())
+            counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+            offsets = np.cumsum(counts) - counts
             table = (
-                np.concatenate(lid_parts) if lid_parts else empty,
-                np.concatenate(pos_parts) if pos_parts else empty,
-                starts,
+                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64),
+                np.arange(int(counts.sum()), dtype=np.int64)
+                - np.repeat(offsets, counts),
+                dict(zip(self._lid_arrays, offsets.tolist())),
             )
             self._ev_table = table
         return table

@@ -73,6 +73,7 @@ from repro.observability.logconf import get_logger
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
 from repro.optics.coupler import CollisionRule, TieRule
+from repro.paths import collection as path_collection
 from repro.paths.collection import PathCollection
 from repro.worms.worm import FailureKind, Launch, Worm, make_worms
 from repro.worms.ack import ack_worms
@@ -429,27 +430,33 @@ class TrialAndFailureProtocol:
         repairs: list[RepairEvent],
         metrics: MetricsRegistry,
         observe: bool,
-    ) -> bool:
+    ) -> dict[int, tuple]:
         """Reroute active worms stranded on suspected-dead links.
 
         Replacement paths are shortest paths on the surviving directed
         graph (the topology's links when the collection has a topology,
         else the union of the collection's own links) minus the
-        suspected set. Returns True when any path changed -- the engines
-        are rebuilt and the live collection must be refreshed. Worms
-        whose destination became unreachable stay stranded and are
-        diagnosed at exhaustion.
+        suspected set. Returns the rerouted worms' new paths by uid
+        (empty when nothing changed). Only those entries of
+        ``self.worms`` are replaced, and the caller patches the live
+        collection with :meth:`PathCollection.rerouted`, which validates
+        only the new paths. The engines are still rebuilt: link ids are
+        assigned by first appearance in uid order and fix the
+        within-step event order, hence the order of collisions, faulted
+        links and flight-recorder events, so a patched layout would
+        diverge from a fresh run's. Worms whose destination became
+        unreachable stay stranded and are diagnosed at exhaustion.
         """
         stranded = [
             uid for uid in active if monitor.is_suspected_path(live_paths[uid])
         ]
         if not stranded:
-            return False
+            return {}
         adj = surviving_graph(
             collection_links(self.collection.paths, self.collection.topology),
             monitor.suspected,
         )
-        changed = 0
+        changes: dict[int, tuple] = {}
         for uid in stranded:
             path = live_paths[uid]
             new_path = reroute_path(adj, path[0], path[-1])
@@ -464,7 +471,7 @@ class TrialAndFailureProtocol:
                 )
             )
             live_paths[uid] = new_path
-            changed += 1
+            changes[uid] = new_path
             _log.info(
                 "round %d: rerouted worm %d around %d suspected-dead "
                 "link(s) (%d -> %d links)",
@@ -483,22 +490,23 @@ class TrialAndFailureProtocol:
                     old_length=len(path) - 1,
                     new_length=len(new_path) - 1,
                 )
-        if not changed:
-            return False
-        self.worms = [
-            Worm(uid=w.uid, path=live_paths[w.uid], length=w.length)
-            for w in self.worms
-        ]
+        if not changes:
+            return changes
+        if not self._repaired:
+            # Lockstep siblings may share the pristine list: own a copy.
+            self.worms = list(self.worms)
+        for uid, path in changes.items():
+            self.worms[uid] = Worm(uid=uid, path=path, length=self.worms[uid].length)
         self._build_engines(self.worms)
         self._repaired = True
         if self._flight is not None:
+            repaired = {r.worm for r in repairs}
             self._flight.describe_worms(
-                [w for w in self.worms if any(r.worm == w.uid for r in repairs)],
-                force=True,
+                [w for w in self.worms if w.uid in repaired], force=True
             )
         if observe:
-            metrics.inc("protocol_repairs_total", changed)
-        return True
+            metrics.inc("protocol_repairs_total", len(changes))
+        return changes
 
     def _diagnose(
         self,
@@ -565,14 +573,16 @@ class TrialAndFailureProtocol:
     def _measure_congestion(self, st: _TrialState) -> int | None:
         """The surviving worms' path congestion (None when untracked).
 
-        Exactly what the serial loop feeds :meth:`_prepare_round`; the
-        lockstep driver instead computes the same values for many trials
-        at once through the collection's share-matrix oracle, falling
-        back to this per-trial path after a repair changed the paths.
+        Exactly what the serial loop feeds :meth:`_prepare_round`: a
+        one-row read of the live collection's share-matrix oracle (see
+        :func:`_live_congestion`), which repairs keep patched rather than
+        rebuilt. The lockstep driver reads the same oracle with one row
+        per trial of each live collection.
         """
         if not self.config.track_congestion:
             return None
-        return st.live_coll.subset(st.active).path_congestion
+        pristine = st.live_coll is self.collection
+        return _live_congestion(st.live_coll, [st.active], pristine)[0]
 
     def _prepare_round(
         self, st: _TrialState, current_congestion: int | None
@@ -722,19 +732,13 @@ class TrialAndFailureProtocol:
             st.completed = True
             return True
 
-        if (
-            cfg.repair == "reroute"
-            and st.monitor.suspected
-            and self._attempt_repairs(
-                t, st.active, st.live_paths, st.monitor, st.repairs,
-                metrics, observe,
-            )
-        ):
-            st.live_coll = PathCollection(
-                [st.live_paths[w.uid] for w in self.worms],
-                topology=self.collection.topology,
-                require_simple=False,
-            )
+        if cfg.repair != "reroute" or not st.monitor.suspected:
+            return False
+        changes = self._attempt_repairs(
+            t, st.active, st.live_paths, st.monitor, st.repairs, metrics, observe
+        )
+        if changes:
+            st.live_coll = st.live_coll.rerouted(changes)
             st.dl = st.live_coll.dilation + cfg.worm_length
             # Repaired paths void the original invariants; re-anchor
             # the schedule on the repaired collection's measures.
@@ -831,6 +835,28 @@ class TrialAndFailureProtocol:
         return self._finish_trial(st)
 
 
+def _live_congestion(
+    collection: PathCollection, actives: list[list[int]], pristine: bool
+) -> list[int]:
+    """``collection.subset(active).path_congestion`` for each of ``actives``.
+
+    One :meth:`~repro.paths.collection.PathCollection.subset_congestion_batch`
+    call with one mask row per entry. The per-subset rebuild runs when
+    the collection is past the dense share matrix's size gate, and for a
+    repaired (not ``pristine``) collection past the rerouted-patch gate:
+    every repaired trial would own that matrix, at 4 * n**2 bytes each.
+    """
+    vals = None
+    if pristine or collection.n <= path_collection._PATCH_MAX_PATHS:
+        masks = np.zeros((len(actives), collection.n), dtype=bool)
+        for row, active in enumerate(actives):
+            masks[row, active] = True
+        vals = collection.subset_congestion_batch(masks)
+    if vals is None:
+        return [collection.subset(active).path_congestion for active in actives]
+    return vals.tolist()
+
+
 def route_collection(
     collection: PathCollection,
     bandwidth: int,
@@ -872,11 +898,16 @@ def run_protocol_batch(
     :func:`repro.core.engine.run_round_batch` pass. Each trial's result
     is bit-identical to ``TrialAndFailureProtocol(collection,
     config).run(seed)`` because the stepper methods driving both loops
-    are the same code and the batch kernel is bit-identical per trial;
-    congestion tracking uses the collection's exact share-matrix oracle
-    when available (falling back to per-trial measurement for repaired
-    trials or collections too large for the dense matrix). Simulated
-    acks route serially per trial on each trial's own ack engine.
+    are the same code and the batch kernel is bit-identical per trial.
+    Congestion tracking groups the live trials by their live collection
+    (the shared pristine one, or a repaired trial's patched
+    :meth:`~repro.paths.collection.PathCollection.rerouted` copy) and
+    reads each group's values with one exact share-matrix oracle call.
+    The per-trial ``subset`` measure serves collections too large for
+    the dense matrix and repaired collections too large to patch (see
+    :func:`_live_congestion`), so repaired trials never each hold a
+    matrix of more than 256 KiB. Simulated acks route serially per trial
+    on each trial's own ack engine.
 
     ``metrics`` is None (process default for every trial), one shared
     registry, or a sequence of per-trial registries -- the last is how
@@ -915,23 +946,17 @@ def run_protocol_batch(
     while live:
         congestion: dict[int, int | None] = {i: None for i in live}
         if config.track_congestion:
-            # Trials still on the pristine collection share one exact
-            # oracle matmul; repaired trials measure their own paths.
-            oracle = [i for i in live if states[i].live_coll is collection]
-            vals = None
-            if oracle:
-                masks = np.zeros((len(oracle), collection.n), dtype=bool)
-                for row, i in enumerate(oracle):
-                    masks[row, states[i].active] = True
-                vals = collection.subset_congestion_batch(masks)
-            if vals is not None:
-                for row, i in enumerate(oracle):
-                    congestion[i] = int(vals[row])
-                rest = [i for i in live if states[i].live_coll is not collection]
-            else:
-                rest = live
-            for i in rest:
-                congestion[i] = protos[i]._measure_congestion(states[i])
+            groups: dict[int, list[int]] = {}
+            for i in live:
+                groups.setdefault(id(states[i].live_coll), []).append(i)
+            for group in groups.values():
+                live_coll = states[group[0]].live_coll
+                vals = _live_congestion(
+                    live_coll,
+                    [states[i].active for i in group],
+                    live_coll is collection,
+                )
+                congestion.update(zip(group, vals))
 
         calls = []
         for i in live:

@@ -19,7 +19,7 @@ traversals of one fiber pair never contend.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,13 @@ __all__ = ["PathCollection"]
 #: cached (4 * n**2 bytes reaches 16 MiB here; callers fall back to
 #: per-subset recomputation past it).
 _SHARE_MATRIX_MAX_PATHS = 2048
+
+#: Largest collection whose :meth:`PathCollection.rerouted` results
+#: carry a patched copy of its cached share matrix. Every repaired trial
+#: owns such a copy, and 4 * n**2 bytes is 256 KiB here, so a lockstep
+#: batch of 64 repaired trials holds no more than one matrix at the gate.
+#: Larger results compute their caches lazily, as a fresh build does.
+_PATCH_MAX_PATHS = 256
 
 
 class PathCollection:
@@ -46,11 +53,7 @@ class PathCollection:
         self._paths: tuple[tuple, ...] = tuple(tuple(p) for p in paths)
         if not self._paths:
             raise PathError("a path collection needs at least one path")
-        for i, p in enumerate(self._paths):
-            if len(p) < 2:
-                raise PathError(f"path {i} has fewer than two nodes: {p!r}")
-            if require_simple and len(set(p)) != len(p):
-                raise PathError(f"path {i} repeats a node: {p!r}")
+        _check_paths(enumerate(self._paths), require_simple)
         self.topology = topology
         if topology is not None:
             topology.validate_paths(self._paths)
@@ -117,10 +120,16 @@ class PathCollection:
     def per_path_congestion(self) -> np.ndarray:
         """For each path, the number of paths sharing a link with it.
 
-        A path counts itself (see module docstring). Identical paths share
-        one computation via memoisation, which makes the type-2 gadgets
+        A path counts itself (see module docstring). With the share
+        matrix already cached (as on a patched :meth:`rerouted` result)
+        these are its row sums; otherwise identical paths share one
+        computation via memoisation, which makes the type-2 gadgets
         (thousands of identical paths) cheap.
         """
+        shares = self.__dict__.get("_share_matrix")
+        if shares is not None:
+            # The diagonal is 1: every path shares its links with itself.
+            return shares.sum(axis=1).astype(np.int64)
         link_paths = self.link_paths
         cache: dict[tuple, int] = {}
         out = np.empty(len(self._paths), dtype=np.int64)
@@ -158,8 +167,10 @@ class PathCollection:
     def subset(self, path_ids: Sequence[int]) -> "PathCollection":
         """A new collection containing only ``path_ids`` (order preserved).
 
-        Used by the protocol to re-measure the congestion of the surviving
-        worms between rounds (Lemma 2.4's quantity).
+        The protocol re-measures the surviving worms' congestion (Lemma
+        2.4's quantity) through :meth:`subset_congestion_batch` and falls
+        back to ``subset(...).path_congestion`` past the share matrix's
+        size gate, and for repaired collections past ``_PATCH_MAX_PATHS``.
         """
         ids = list(path_ids)
         if not ids:
@@ -169,6 +180,76 @@ class PathCollection:
             topology=self.topology,
             require_simple=False,
         )
+
+    def rerouted(self, changes: Mapping[int, Sequence]) -> "PathCollection":
+        """This collection with path ``pid`` replaced by ``changes[pid]``.
+
+        Indistinguishable through the public API from
+        ``PathCollection(paths with changes, topology=self.topology,
+        require_simple=False)``, including the errors it raises. Only
+        the replaced paths are checked and validated against the
+        topology. When this collection's share matrix is cached and it
+        has at most ``_PATCH_MAX_PATHS`` paths, the result gets a copy of
+        the matrix and of the link -> paths index with just the replaced
+        rows and columns recomputed (its :attr:`per_path_congestion` are
+        then the row sums): an O(n**2) copy plus O(replaced * n) work,
+        instead of a rebuild that also re-validates every path.
+        Everything else the result computes lazily, as a fresh build
+        would. Empty ``changes`` return this collection itself. Used by
+        the protocol's reroute repair.
+        """
+        if not changes:
+            return self
+        n = self.n
+        new: dict[int, tuple] = {}
+        for pid in sorted(changes):
+            if not 0 <= pid < n:
+                raise PathError(
+                    f"cannot reroute path {pid}: the collection has {n} paths"
+                )
+            new[pid] = tuple(changes[pid])
+        _check_paths(new.items(), require_simple=False)
+        if self.topology is not None:
+            for path in new.values():
+                self.topology.validate_path(path)
+        paths = list(self._paths)
+        for pid, path in new.items():
+            paths[pid] = path
+        child = PathCollection.__new__(PathCollection)
+        child._paths = tuple(paths)
+        child.topology = self.topology
+        shares = self.__dict__.get("_share_matrix")
+        if shares is not None and n <= _PATCH_MAX_PATHS:
+            # Copy-on-write link index: only touched links get new lists.
+            members = dict(self._link_members)
+            new_links = {pid: _link_set(path) for pid, path in new.items()}
+            for pid, fresh in new_links.items():
+                old = _link_set(self._paths[pid])
+                for link in old - fresh:
+                    members[link] = [p for p in members[link] if p != pid]
+                for link in fresh - old:
+                    members[link] = members.get(link, []) + [pid]
+            shares = shares.copy()
+            ids = list(new)
+            shares[ids, :] = 0.0
+            shares[:, ids] = 0.0
+            for pid, fresh in new_links.items():
+                sharing = list(set().union(*(members[link] for link in fresh)))
+                shares[pid, sharing] = 1.0
+                shares[sharing, pid] = 1.0
+            child.__dict__["_link_members"] = members
+            child.__dict__["_share_matrix"] = shares
+        return child
+
+    @cached_property
+    def _link_members(self) -> dict[tuple, list[int]]:
+        """Directed link -> ids of the paths using it, in no fixed order.
+
+        The index :meth:`rerouted` patches; a fresh collection's is its
+        :attr:`link_paths`. Patched indexes may keep links no path uses
+        any more (with no members), which is why this is not public.
+        """
+        return self.link_paths
 
     @cached_property
     def _share_matrix(self) -> "np.ndarray | None":
@@ -205,6 +286,12 @@ class PathCollection:
         collection is too large for the dense share matrix (callers fall
         back to the per-subset path). Rows with no active path yield 0
         (``subset`` itself would refuse an empty selection).
+
+        The protocol reads every round's congestion here: one row per
+        trial, one call per live collection. Up to ``_PATCH_MAX_PATHS``
+        paths, :meth:`rerouted` keeps a repaired collection's matrix
+        patched; past that the protocol reads the oracle only on the
+        collection it started with.
         """
         shares = self._share_matrix
         if shares is None:
@@ -227,3 +314,17 @@ class PathCollection:
             f"<PathCollection n={self.n} D={self.dilation} "
             f"C~={self.path_congestion} C_edge={self.edge_congestion}>"
         )
+
+
+def _check_paths(numbered: Iterable[tuple[int, tuple]], require_simple: bool) -> None:
+    """Raise :class:`PathError` for the first malformed ``(id, path)``."""
+    for i, p in numbered:
+        if len(p) < 2:
+            raise PathError(f"path {i} has fewer than two nodes: {p!r}")
+        if require_simple and len(set(p)) != len(p):
+            raise PathError(f"path {i} repeats a node: {p!r}")
+
+
+def _link_set(path: tuple) -> set[tuple]:
+    """The directed links ``path`` traverses."""
+    return set(zip(path, path[1:]))

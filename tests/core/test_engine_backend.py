@@ -253,7 +253,7 @@ class TestFork:
     def test_fork_registration_does_not_leak_to_parent(self):
         parent = self._engine()
         clone = parent.fork()
-        clone._register(Worm(uid=99, path=(0, 1), length=1))
+        clone.add_worms([Worm(uid=99, path=(0, 1), length=1)])
         assert 99 in clone._worms
         assert 99 not in parent._worms
 

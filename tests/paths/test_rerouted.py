@@ -1,0 +1,196 @@
+"""``PathCollection.rerouted`` against a fresh build of the same paths.
+
+A rerouted collection must be indistinguishable from
+``PathCollection(paths with changes, topology=..., require_simple=False)``
+through everything the protocol and the oracle read: paths, link order,
+link -> paths index, the congestion measures, the share matrix and the
+batched subset oracle. Chains of reroutes must stay exact, because the
+protocol patches the previous repair's collection, not the original.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.paths.collection as collection_module
+from repro.errors import PathError, TopologyError
+from repro.experiments.workloads import mesh_random_function, torus_random_function
+from repro.network.mesh import Mesh
+from repro.paths.collection import PathCollection
+
+
+def _walk(topology, rng, length):
+    """A random walk of ``length`` links (walks may revisit links)."""
+    node = topology.nodes[int(rng.integers(len(topology.nodes)))]
+    path = [node]
+    for _ in range(length):
+        nbrs = topology.neighbors(path[-1])
+        path.append(nbrs[int(rng.integers(len(nbrs)))])
+    return tuple(path)
+
+
+def _random_changes(coll, rng, k):
+    pids = rng.choice(coll.n, size=min(k, coll.n), replace=False)
+    return {
+        int(pid): _walk(coll.topology, rng, int(rng.integers(1, 9)))
+        for pid in pids
+    }
+
+
+def _fresh(coll, changes):
+    paths = list(coll.paths)
+    for pid, path in changes.items():
+        paths[pid] = path
+    return PathCollection(paths, topology=coll.topology, require_simple=False)
+
+
+def _brute_shares(coll):
+    links = [set(zip(p, p[1:])) for p in coll.paths]
+    return np.array(
+        [[1.0 if a & b else 0.0 for b in links] for a in links], dtype=np.float32
+    )
+
+
+def _assert_same(got, want, rng):
+    assert got.paths == want.paths
+    assert got.topology is want.topology
+    assert got.links == want.links
+    assert got.link_paths == want.link_paths
+    assert got.dilation == want.dilation
+    np.testing.assert_array_equal(got.per_path_congestion, want.per_path_congestion)
+    assert got.per_path_congestion.dtype == want.per_path_congestion.dtype
+    assert got.path_congestion == want.path_congestion
+    if want._share_matrix is None:
+        assert got._share_matrix is None
+    else:
+        np.testing.assert_array_equal(got._share_matrix, want._share_matrix)
+        assert got._share_matrix.dtype == want._share_matrix.dtype
+    masks = rng.random((5, want.n)) < 0.5
+    masks[0] = True
+    got_vals = got.subset_congestion_batch(masks)
+    want_vals = want.subset_congestion_batch(masks)
+    if want_vals is None:
+        assert got_vals is None
+    else:
+        np.testing.assert_array_equal(got_vals, want_vals)
+
+
+_BUILDERS = {
+    "torus": lambda seed: torus_random_function(4, 2, rng=seed),
+    "mesh": lambda seed: mesh_random_function(4, 2, rng=seed),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(_BUILDERS)),
+    seed=st.integers(0, 2**16),
+    warm=st.booleans(),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_chained_reroutes_equal_fresh_build(kind, seed, warm, sizes):
+    rng = np.random.default_rng(seed)
+    coll = _BUILDERS[kind](seed)
+    if warm:
+        coll._share_matrix  # the parent's oracle is cached: patch it
+    for k in sizes:
+        changes = _random_changes(coll, rng, k)
+        cached = "_share_matrix" in coll.__dict__
+        child = coll.rerouted(changes)
+        # Patched exactly when the parent had one; _assert_same reads
+        # the oracle, so later links of the chain are always patched.
+        assert ("_share_matrix" in child.__dict__) == cached
+        _assert_same(child, _fresh(coll, changes), rng)
+        coll = child
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_long_chain_on_cached_oracle(kind):
+    rng = np.random.default_rng(7)
+    coll = _BUILDERS[kind](3)
+    coll.subset_congestion_batch(np.ones((1, coll.n), dtype=bool))
+    for step in range(12):
+        changes = _random_changes(coll, rng, 1 + step % 4)
+        want = _fresh(coll, changes)
+        coll = coll.rerouted(changes)
+        _assert_same(coll, want, rng)
+    np.testing.assert_array_equal(coll._share_matrix, _brute_shares(coll))
+
+
+def test_parent_without_cached_share_matrix():
+    rng = np.random.default_rng(1)
+    coll = torus_random_function(4, 2, rng=1)
+    assert "_share_matrix" not in coll.__dict__
+    changes = _random_changes(coll, rng, 3)
+    child = coll.rerouted(changes)
+    assert "_share_matrix" not in child.__dict__
+    assert "per_path_congestion" not in child.__dict__
+    _assert_same(child, _fresh(coll, changes), rng)
+
+
+def test_collection_over_the_share_matrix_gate(monkeypatch):
+    monkeypatch.setattr(collection_module, "_SHARE_MATRIX_MAX_PATHS", 4)
+    rng = np.random.default_rng(2)
+    coll = torus_random_function(4, 2, rng=2)
+    assert coll.n > 4 and coll._share_matrix is None
+    changes = _random_changes(coll, rng, 3)
+    child = coll.rerouted(changes)
+    assert child._share_matrix is None
+    assert child.subset_congestion_batch(np.ones((1, child.n), dtype=bool)) is None
+    _assert_same(child, _fresh(coll, changes), rng)
+
+
+def test_invalid_replacement_raises_like_a_fresh_build():
+    coll = torus_random_function(4, 2, rng=4)
+    coll._share_matrix
+    a, b = coll.paths[0][0], coll.paths[0][-1]
+    bad = {1: coll.paths[1], 3: (a, (9, 9))}
+    with pytest.raises(TopologyError) as fresh_err:
+        _fresh(coll, bad)
+    with pytest.raises(TopologyError) as patched_err:
+        coll.rerouted(bad)
+    assert str(patched_err.value) == str(fresh_err.value)
+    short = {2: (b,), 3: (a, (9, 9))}
+    with pytest.raises(PathError) as fresh_err:
+        _fresh(coll, short)
+    with pytest.raises(PathError) as patched_err:
+        coll.rerouted(short)
+    assert str(patched_err.value) == str(fresh_err.value)
+
+
+@pytest.mark.parametrize("pid", [-1, 10_000])
+def test_out_of_range_pid_is_named(pid):
+    coll = torus_random_function(4, 2, rng=5)
+    with pytest.raises(PathError, match=str(pid)):
+        coll.rerouted({pid: coll.paths[0]})
+
+
+def test_empty_changes_return_the_collection():
+    coll = mesh_random_function(4, 2, rng=6)
+    assert coll.rerouted({}) is coll
+
+
+def test_collection_over_the_patch_gate(monkeypatch):
+    # Too large to patch: the result computes its caches like a fresh
+    # build, even though the parent's share matrix is cached.
+    monkeypatch.setattr(collection_module, "_PATCH_MAX_PATHS", 4)
+    rng = np.random.default_rng(9)
+    coll = torus_random_function(4, 2, rng=9)
+    assert coll.n > 4 and coll._share_matrix is not None
+    changes = _random_changes(coll, rng, 3)
+    child = coll.rerouted(changes)
+    assert "_share_matrix" not in child.__dict__
+    assert "_link_members" not in child.__dict__
+    _assert_same(child, _fresh(coll, changes), rng)
+
+
+def test_share_matrix_matches_brute_force():
+    sparse = torus_random_function(8, 2, rng=8)
+    np.testing.assert_array_equal(sparse._share_matrix, _brute_shares(sparse))
+    m = Mesh((3, 3))
+    row = [(0, 0), (0, 1), (0, 2)]
+    dense = PathCollection([row] * 6 + [[(1, 0), (1, 1)]], topology=m)
+    np.testing.assert_array_equal(dense._share_matrix, _brute_shares(dense))
+    assert dense.per_path_congestion.tolist() == [6] * 6 + [1]
