@@ -22,31 +22,40 @@ each contended (link, wavelength, time) group through the coupler kernels,
 so the collision semantics live in exactly one place. Conflict-free
 arrivals take an inlined fast path.
 
-Three backends share those semantics. ``backend="python"`` (the default)
-walks every event group in the scalar loop above. ``backend="vectorized"``
-first sorts the events by (channel, time) with numpy: two events can
-only interact if they share a (link, wavelength) channel *and* are at
-most ``max_worm_length - 1`` steps apart (an occupancy written at ``t``
-expires by ``t + L - 1``), so a single sorted-adjacent-gap test marks
-every event that sits in such a pair as *clashed*. Only clashed events
-replay through the scalar loop. Every other event meets an idle or
-stale channel, so its worm advances unless it is already dead or the
-link is down; those events are settled in numpy, and each worm's
-makespan contribution follows from a closed form over its truncations.
-The clash test is conservative (it over-approximates contention), so
-outcomes are bit-identical to the scalar engine by construction; the
-differential test suite enforces it.
+One round body serves every call. :func:`run_round_batch` runs a
+*pass*: one or more independent rounds (typically the same round of
+many trials that differ only in their seeds), whose head-arrival events
+are built with numpy and sorted once, trial-major, into canonical
+(time, link, wavelength) order. :meth:`RoutingEngine.run_round` is the
+one-call pass. Each engine then resolves its own slice of the pass
+under one of two replay policies:
 
-``backend="batched"`` behaves exactly like ``"vectorized"`` for a single
-:meth:`RoutingEngine.run_round` call, and additionally opts callers into
-:func:`run_round_batch`: many independent rounds (typically the same
-round of many trials differing only in their seeds) are stacked into one
-set of ``(trial, link, wavelength)``-keyed arrays so the event build,
-the sorts and the adjacent-gap clash test amortise across the whole
-batch. Events within one trial never cluster with another trial's (the
-trial id is the most significant sort key), so each trial's clash mask
--- and therefore its outcomes, collision order, fault attribution and
-flight-recorder stream -- is bit-identical to running that trial alone.
+* *replay all* (``backend="python"``): every event group walks the
+  scalar loop above. This is the reference the other policy is checked
+  against.
+* *replay clashes* (``backend="vectorized"`` or ``"batched"``): two
+  events can only interact if they share a (link, wavelength) channel
+  *and* are at most ``max_worm_length - 1`` steps apart (an occupancy
+  written at ``t`` expires by ``t + L - 1``), so a single
+  sorted-adjacent-gap test marks every event that sits in such a pair
+  as *clashed*. Only clashed events replay through the scalar loop.
+  Every other event meets an idle or stale channel, so its worm
+  advances unless it is already dead or the link is down; those events
+  are settled in numpy, and each worm's makespan contribution follows
+  from a closed form over its truncations. The clash test is
+  conservative (it over-approximates contention), so outcomes are
+  bit-identical to replaying all by construction; the differential
+  test suite enforces it.
+
+So three backend names map onto two policies. ``"vectorized"`` and
+``"batched"`` resolve identically; ``"batched"`` additionally opts trial
+drivers into lockstep passes over many trials. Within a pass no trial's
+events cluster with another's (the trial id is the most significant
+sort key and part of the clash channel), so each trial's outcomes,
+collision order, fault attribution and flight-recorder stream are
+bit-identical to running that trial alone. A one-call pass stacks
+nothing and sorts without the trial key, and a pass whose engines all
+replay everything skips the clash test.
 
 Every sort goes through :func:`_lexorder`, which packs the integer key
 columns into as few int64 words as fit and sorts those.
@@ -55,8 +64,9 @@ columns into as few int64 words as fit and sorts those.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -91,6 +101,10 @@ _default_backend = "python"
 #: is a meaningful value there ("use the process default registry"), so
 #: "inherit the parent's" needs its own marker.
 _INHERIT = object()
+
+#: The timed stages of a pass, in order; each is one child span of
+#: ``engine.round``.
+_STAGES = ("build_events", "resolve", "finalise")
 
 
 def set_default_backend(backend: str) -> None:
@@ -259,11 +273,11 @@ def _last_step(run: _Run, last: int) -> int:
 class _OrderedRecorder:
     """Buffers flight-recorder calls tagged with their global event index.
 
-    The vectorized backend emits the clashed events' calls from the
+    The replay-clashes policy emits the clashed events' calls from the
     scalar replay and the other events' calls from a later pass; tagging
     each call with the index of the event that produced it and flushing
     in sorted order makes the recorder stream bit-identical to the
-    scalar engine's. Recorder methods read ``run.cut_len`` at call time
+    replay-all policy's. Recorder methods read ``run.cut_len`` at call time
     (the ``surviving`` field), and the replay mutates it, so each
     buffered call carries the value in force at its event and the flush
     restores it around the real emission.
@@ -314,7 +328,7 @@ class RoutingEngine:
     rounds, without restarting the engine. Link ids are assigned in
     registration order and retained across retirement, so a static
     batch and an incrementally grown one that registered the same worms
-    in the same order behave bit-identically on both backends.
+    in the same order behave bit-identically on every backend.
 
     ``metrics`` optionally names the registry that receives per-round
     instrumentation (events generated, contended couplers, outcome
@@ -323,13 +337,13 @@ class RoutingEngine:
     :func:`repro.observability.enable_metrics` has been called, so an
     uninstrumented engine pays only one enabled-check per round.
 
-    ``backend`` selects the round kernel: ``"python"`` (scalar event
-    loop), ``"vectorized"`` (numpy conflict partition + scalar fallback
-    for contended groups, bit-identical by construction) or
-    ``"batched"`` (identical to ``"vectorized"`` per round, and the
-    opt-in marker that routes trial drivers through
-    :func:`run_round_batch`). None defers to the process default set by
-    :func:`set_default_backend`.
+    ``backend`` selects the replay policy: ``"python"`` replays every
+    event through the scalar loop; ``"vectorized"`` replays only the
+    events the numpy clash test marks (bit-identical by construction);
+    ``"batched"`` resolves like ``"vectorized"`` and is also the opt-in
+    marker that routes trial drivers through lockstep
+    :func:`run_round_batch` passes. None defers to the process default
+    set by :func:`set_default_backend`.
 
     ``profiler`` optionally names the span profiler receiving the
     ``engine.round`` span and its ``engine.build_events`` /
@@ -448,7 +462,7 @@ class RoutingEngine:
 
         New worms get link ids appended in registration order; existing
         ids never move, so rounds before and after an admission see the
-        same per-link identities on both backends.
+        same per-link identities on every backend.
         """
         self._register(worms)
 
@@ -486,110 +500,12 @@ class RoutingEngine:
         receives one structured event per worm state change (launch,
         head advance, truncation, elimination, fault); the disabled path
         costs one ``is not None`` check per event. Returns the per-worm
-        outcomes and, when requested, every losing collision.
+        outcomes and, when requested, every losing collision. This is
+        the one-call pass of :func:`run_round_batch`.
         """
-        prof = self._profiler if self._profiler is not None else get_profiler()
-        if not prof.enabled:
-            return self._run_round(
-                prof, launches, collect_collisions, dead_links, recorder
-            )
-        with prof.span("engine.round"):
-            return self._run_round(
-                prof, launches, collect_collisions, dead_links, recorder
-            )
-
-    def _run_round(
-        self,
-        prof: SpanProfiler,
-        launches: Sequence[Launch],
-        collect_collisions: bool,
-        dead_links: Sequence[tuple] | None,
-        recorder: "FlightRecorder | None",
-    ) -> RoundResult:
-        """The round body behind :meth:`run_round`'s span wrapper."""
-        metrics = self._metrics if self._metrics is not None else get_metrics()
-        observe = metrics.enabled
-        t_round = time.perf_counter() if observe else 0.0
-
-        if not launches:
-            # Nothing launched: no flit ever moves, so there is no
-            # makespan -- but the round still happened. Record the (all
-            # zero) tallies so engine_rounds_total matches the caller's
-            # round count instead of silently undercounting.
-            if observe:
-                self._record_metrics(
-                    metrics,
-                    {},
-                    n_events=0,
-                    contended=0,
-                    t_events=0.0,
-                    t_resolve=0.0,
-                    t_finalise=0.0,
-                    t_round=time.perf_counter() - t_round,
-                )
-            return RoundResult(outcomes={}, collisions=(), makespan=None)
-
-        runs = self._begin_runs(launches, recorder)
-
-        t_stage = time.perf_counter() if observe else 0.0
-        with prof.span("engine.build_events"):
-            arrays = self._build_event_arrays(runs)
-        n_events = int(arrays[0].shape[0])
-        if observe:
-            t_events = time.perf_counter() - t_stage
-            t_stage = time.perf_counter()
-
-        collisions: list[CollisionEvent] = []
-        faulted_at: dict[int, int] = {}
-        dead_lids = self._dead_lids(dead_links)
-
-        free_events = 0
-        with prof.span("engine.resolve"):
-            if self.backend != "python":
-                t, lid, wl = arrays[:3]
-                radix = int(wl.max()) + 1
-                clashed = _clashed(
-                    lid * radix + wl, t, max(run.length for run in runs) - 1,
-                    len(self._links) * radix, int(t[-1]) + 1,  # t is sorted
-                )
-                contended, free_events = self._apply_partition(
-                    runs, arrays, clashed, dead_lids, collect_collisions,
-                    recorder, collisions, faulted_at,
-                )
-            else:
-                events = list(zip(*(col.tolist() for col in arrays)))
-                contended = self._resolve_scalar(
-                    events, runs, dead_lids, collect_collisions, recorder,
-                    collisions, faulted_at,
-                )
-
-        if observe:
-            t_resolve = time.perf_counter() - t_stage
-            t_stage = time.perf_counter()
-        with prof.span("engine.finalise"):
-            outcomes, makespan = self._finalise(runs)
-        faulted_links = tuple(
-            self._links[lid]
-            for lid, _ in sorted(faulted_at.items(), key=lambda kv: kv[1])
-        )
-        if observe:
-            self._record_metrics(
-                metrics,
-                outcomes,
-                n_events=n_events,
-                contended=contended,
-                t_events=t_events,
-                t_resolve=t_resolve,
-                t_finalise=time.perf_counter() - t_stage,
-                t_round=time.perf_counter() - t_round,
-                free_events=free_events if self.backend != "python" else None,
-            )
-        return RoundResult(
-            outcomes=outcomes,
-            collisions=tuple(collisions),
-            makespan=makespan,
-            faulted_links=faulted_links,
-        )
+        return run_round_batch(
+            [RoundCall(self, launches, collect_collisions, dead_links, recorder)]
+        )[0]
 
     def _begin_runs(
         self,
@@ -636,12 +552,12 @@ class RoutingEngine:
     ) -> int:
         """Walk ``events`` in order, resolving each (t, link, wl) group.
 
-        This is the one place collision semantics are applied; the
-        vectorized backend reuses it for its clashed events, passing
-        ``order`` -- the events' indices in the full round -- so fault
-        attribution, truncation logs and recorder emission keep global
-        positions. Returns
-        the number of contended coupler groups.
+        This is the one place collision semantics are applied. The
+        replay-all policy passes the whole round; the replay-clashes
+        policy passes only its clashed events plus ``order`` -- their
+        indices in the full round -- so fault attribution, truncation
+        logs and recorder emission keep global positions. Returns the
+        number of contended coupler groups.
         """
         contended = 0
         occupancy: dict[tuple[int, int], _Record] = {}
@@ -786,7 +702,7 @@ class RoutingEngine:
         self,
         runs: list[_Run],
         arrays: tuple[np.ndarray, ...],
-        clashed: np.ndarray,
+        clashed: np.ndarray | None,
         dead_lids: set[int],
         collect_collisions: bool,
         recorder,
@@ -795,8 +711,9 @@ class RoutingEngine:
     ) -> tuple[int, int]:
         """Resolve one round, replaying only its ``clashed`` events.
 
-        Shared tail of the vectorized and batched kernels; event indices
-        in ``arrays`` are the round's own (per-trial) global positions.
+        ``clashed`` is None under the replay-all policy: every event
+        replays, in order, straight to ``recorder``. Event indices in
+        ``arrays`` are the round's own (per-trial) global positions.
         An unclashed event is alone in its (time, link, wavelength) group
         on an idle or stale channel, and its record never meets another
         event: its worm advances if still alive there, or faults if the
@@ -807,6 +724,13 @@ class RoutingEngine:
         happen); a worm the replay leaves alive faults at its cap.
         Returns ``(contended groups, events not replayed)``.
         """
+        if clashed is None:
+            events = list(zip(*(col.tolist() for col in arrays)))
+            contended = self._resolve_scalar(
+                events, runs, dead_lids, collect_collisions, recorder,
+                collisions, faulted_at,
+            )
+            return contended, 0
         t, lid, wl, pos, ri = arrays
         replay = clashed
         capped = None
@@ -873,57 +797,28 @@ class RoutingEngine:
         *,
         n_events: int,
         contended: int,
-        t_events: float,
-        t_resolve: float,
-        t_finalise: float,
-        t_round: float,
-        free_events: int | None = None,
+        free_events: int,
+        seconds: Sequence[float],
     ) -> None:
-        """Ship one round's tallies into the registry (enabled path only)."""
+        """Ship one round's tallies into the registry (enabled path only).
+
+        ``seconds`` holds the round's own build_events, resolve and
+        finalise wall times.
+        """
         rule = self.rule.name.lower()
-        delivered = eliminated = truncated = faulted = 0
-        for o in outcomes.values():
-            if o.delivered:
-                delivered += 1
-            elif o.failure is FailureKind.ELIMINATED:
-                eliminated += 1
-            elif o.failure is FailureKind.TRUNCATED:
-                truncated += 1
-            elif o.failure is FailureKind.FAULTED:
-                faulted += 1
+        # A worm's failure is None exactly when it was delivered.
+        kinds = Counter(o.failure for o in outcomes.values())
         metrics.inc("engine_rounds_total", rule=rule)
         metrics.inc("engine_events_total", n_events, rule=rule)
         metrics.inc("engine_contended_couplers_total", contended, rule=rule)
         metrics.inc("engine_worms_launched_total", len(outcomes), rule=rule)
-        metrics.inc("engine_delivered_total", delivered, rule=rule)
-        metrics.inc("engine_eliminated_total", eliminated, rule=rule)
-        metrics.inc("engine_truncated_total", truncated, rule=rule)
-        metrics.inc("engine_faulted_total", faulted, rule=rule)
-        if free_events is not None:
-            metrics.inc("engine_free_events_total", free_events, rule=rule)
-        metrics.observe("engine_round_seconds", t_round, rule=rule)
-        metrics.observe("engine_stage_seconds", t_events, stage="build_events")
-        metrics.observe("engine_stage_seconds", t_resolve, stage="resolve")
-        metrics.observe("engine_stage_seconds", t_finalise, stage="finalise")
-
-    def _build_event_arrays(
-        self, runs: list[_Run]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted head-arrival arrays ``(time, link_id, wavelength, pos, run_index)``.
-
-        Batched with numpy: per-worm link-id arrays are precomputed at
-        construction, so a round only gathers them, shifts by the launch
-        delays, and sorts. The sort key (time, link, wavelength, pos,
-        run) is unique per event, so the order is exactly that of sorting
-        the equivalent python tuples.
-        """
-        t, lid, wl, pos, ri = self._event_parts(runs)
-        order = _lexorder(
-            (t, lid, wl, pos, ri),
-            (int(t.max()) + 1, len(self._links), int(wl.max()) + 1,
-             self._max_links, len(runs)),
-        )
-        return t[order], lid[order], wl[order], pos[order], ri[order]
+        metrics.inc("engine_delivered_total", kinds[None], rule=rule)
+        for kind in FailureKind:
+            metrics.inc(f"engine_{kind.value}_total", kinds[kind], rule=rule)
+        metrics.inc("engine_free_events_total", free_events, rule=rule)
+        metrics.observe("engine_round_seconds", sum(seconds), rule=rule)
+        for stage, secs in zip(_STAGES, seconds):
+            metrics.observe("engine_stage_seconds", secs, stage=stage)
 
     def _event_table(self) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
         """Concatenated per-worm link ids and positions plus per-uid offsets.
@@ -1086,7 +981,7 @@ class RoundCall:
     engine (typically a :meth:`RoutingEngine.fork` of a shared parent,
     so trials may retire worms independently), launches, fault set, and
     flight recorder. Results come back in call order and are required to
-    be bit-identical to ``call.engine.run_round(...)`` run alone.
+    be bit-identical to running each call in a pass of its own.
     """
 
     engine: RoutingEngine
@@ -1096,165 +991,200 @@ class RoundCall:
     recorder: "FlightRecorder | None" = None
 
 
+class _Slot:
+    """One launched call's state through a :func:`run_round_batch` pass."""
+
+    __slots__ = (
+        "index", "call", "engine", "metrics", "runs", "parts", "dead_lids",
+        "seconds", "contended", "free_events", "collisions", "faulted_at",
+    )
+
+    def __init__(self, index: int, call: RoundCall, metrics: MetricsRegistry) -> None:
+        self.index = index
+        self.call = call
+        self.engine = call.engine
+        self.metrics = metrics
+        self.collisions: list[CollisionEvent] = []
+        self.faulted_at: dict[int, int] = {}
+
+
 def run_round_batch(calls: Sequence[RoundCall]) -> list[RoundResult]:
-    """Simulate one round for many independent trials in one array pass.
+    """Simulate one round for each of many independent calls in one pass.
 
-    This is the batched backend's kernel: every call's head-arrival
-    events are stacked into single ``(trial, link, wavelength)``-keyed
-    arrays so the canonical sort, the channel sort and the adjacent-gap
-    clash test amortise across the whole batch, then each trial's
-    clashed events replay through the scalar resolver exactly as the
-    vectorized backend would have done alone.
+    The engine's only round body; :meth:`RoutingEngine.run_round` is the
+    one-call pass. Every call's head-arrival events are stacked into
+    single ``(trial, link, wavelength)``-keyed arrays, so the canonical
+    sort, the channel sort and the adjacent-gap clash test amortise
+    across the whole pass. Each call's slice then resolves under its
+    engine's replay policy (see the module docstring).
 
-    Bit-identity argument: both batch sorts use the trial id as the
+    Bit-identity argument: both sorts use the trial id as the
     most-significant key, so restricting the canonical order to one
     trial's events reproduces that trial's own sort (the per-trial key
     tuples are unique); the clash test keys channels by trial and uses
     each trial's own ``max_worm_length - 1`` gap, so the per-trial clash
     masks -- and hence outcomes, collision order, fault attribution, and
-    recorder streams -- match single-trial ``run_round`` exactly.
+    recorder streams -- match a one-call pass exactly.
 
-    Timings are measured, never apportioned: each trial's
-    ``engine_stage_seconds`` get the work done for that trial alone
-    (its event columns, its replay, its finalise), and the shared
-    stacking and sorting is observed once per batch as
-    ``engine_batch_stage_seconds`` in the process-default registry.
+    Every pass opens one ``engine.round`` span (on the first call's
+    profiler); one that launches anything gives it one
+    ``engine.build_events``, ``engine.resolve`` and ``engine.finalise``
+    child each. Timings are
+    measured, never apportioned: each call's ``engine_stage_seconds``
+    get the work done for that call alone (its event columns, its
+    replay, its finalise). With several launched calls, the stacking
+    and canonical sort (build_events) and the clash test (resolve) are
+    shared, and are observed once per pass as
+    ``engine_batch_stage_seconds`` in the process-default registry; in a
+    one-call pass they are that call's own stage time.
     """
     if not calls:
         return []
     eng0 = calls[0].engine
     prof = eng0._profiler if eng0._profiler is not None else get_profiler()
-    if not prof.enabled:
-        return _run_round_batch(prof, calls)
-    with prof.span("engine.round_batch"):
+    with prof.span("engine.round"):
         return _run_round_batch(prof, calls)
 
 
 def _run_round_batch(
     prof: SpanProfiler, calls: Sequence[RoundCall]
 ) -> list[RoundResult]:
-    """The batch body behind :func:`run_round_batch`'s span wrapper."""
+    """The pass body behind :func:`run_round_batch`'s span wrapper."""
     results: list[RoundResult | None] = [None] * len(calls)
-    # Per live trial: (call index, engine, metrics, observe, runs,
-    # dead_lids, unsorted event columns, adjacency gap, build seconds).
-    states: list[tuple] = []
-    with prof.span("engine.build_events"):
-        for ci, call in enumerate(calls):
-            eng = call.engine
-            metrics = eng._metrics if eng._metrics is not None else get_metrics()
-            observe = metrics.enabled
-            if not call.launches:
-                # Same contract as run_round: an empty round still counts.
-                if observe:
-                    eng._record_metrics(
-                        metrics, {}, n_events=0, contended=0, t_events=0.0,
-                        t_resolve=0.0, t_finalise=0.0, t_round=0.0,
-                    )
-                results[ci] = RoundResult(
-                    outcomes={}, collisions=(), makespan=None
-                )
-                continue
-            t_trial = time.perf_counter() if observe else 0.0
-            runs = eng._begin_runs(call.launches, call.recorder)
-            parts = eng._event_parts(runs)
-            gap = max(run.length for run in runs) - 1
-            dead_lids = eng._dead_lids(call.dead_links)
-            t_events = time.perf_counter() - t_trial if observe else 0.0
-            states.append(
-                (ci, eng, metrics, observe, runs, dead_lids, parts, gap, t_events)
-            )
-        if not states:
-            return results  # type: ignore[return-value]
-        t_stack = time.perf_counter()
-        k_live = len(states)
-        counts = np.fromiter(
-            (s[6][0].shape[0] for s in states), dtype=np.int64, count=k_live
-        )
-        btri = np.repeat(np.arange(k_live, dtype=np.int64), counts)
-        bgap = np.repeat(
-            np.fromiter((s[7] for s in states), dtype=np.int64, count=k_live),
-            counts,
-        )
-        bt, blid, bwl, bpos, bri = (
-            np.concatenate([s[6][c] for s in states]) for c in range(5)
-        )
-        t_stack = time.perf_counter() - t_stack
-
-    t_sort = time.perf_counter()
-    with prof.span("engine.resolve"):
-        t_bound = int(bt.max()) + 1
-        n_links = max(len(s[1]._links) for s in states)
-        radix = int(bwl.max()) + 1
-        # Canonical order: trial-major, then each trial's unique
-        # (t, lid, wl, pos, ri) key. Trials keep their input blocks, so
-        # one trial's slice is exactly its _build_event_arrays output.
-        corder = _lexorder(
-            (btri, bt, blid, bwl, bpos, bri),
-            (k_live, t_bound, n_links, radix,
-             max(s[1]._max_links for s in states),
-             max(len(s[4]) for s in states)),
-        )
-        bounds = np.zeros(k_live + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        # Clash test over (trial, link, wavelength) channels; the global
-        # radix keeps the composite key injective.
-        clashed = _clashed(
-            (btri * n_links + blid) * radix + bwl, bt, bgap,
-            k_live * n_links * radix, t_bound,
-        )
-        # One gather per column; each trial is then a contiguous slice.
-        bt, blid, bwl, bpos, bri, clashed = (
-            col[corder] for col in (bt, blid, bwl, bpos, bri, clashed)
-        )
-    t_sort = time.perf_counter() - t_sort
-
-    batch_metrics = get_metrics()
-    if batch_metrics.enabled:
-        batch_metrics.observe(
-            "engine_batch_stage_seconds", t_stack, stage="build_events"
-        )
-        batch_metrics.observe("engine_batch_stage_seconds", t_sort, stage="sort")
-
-    for si, (ci, eng, metrics, observe, runs, dead_lids, _, _, t_events) in enumerate(
-        states
-    ):
-        call = calls[ci]
-        t_trial = time.perf_counter() if observe else 0.0
-        lo, hi = int(bounds[si]), int(bounds[si + 1])
-        arrays = (bt[lo:hi], blid[lo:hi], bwl[lo:hi], bpos[lo:hi], bri[lo:hi])
-        collisions: list[CollisionEvent] = []
-        faulted_at: dict[int, int] = {}
-        with prof.span("engine.resolve"):
-            contended, free_events = eng._apply_partition(
-                runs, arrays, clashed[lo:hi], dead_lids,
-                call.collect_collisions, call.recorder, collisions, faulted_at,
-            )
-        if observe:
-            t_resolve = time.perf_counter() - t_trial
-            t_stage = time.perf_counter()
-        with prof.span("engine.finalise"):
-            outcomes, makespan = eng._finalise(runs)
-        faulted_links = tuple(
-            eng._links[lid]
-            for lid, _ in sorted(faulted_at.items(), key=lambda kv: kv[1])
-        )
-        if observe:
-            t_finalise = time.perf_counter() - t_stage
+    live: list[_Slot] = []
+    for ci, call in enumerate(calls):
+        eng = call.engine
+        metrics = eng._metrics if eng._metrics is not None else get_metrics()
+        if call.launches:
+            live.append(_Slot(ci, call, metrics))
+            continue
+        # Nothing launched: no flit ever moves, so there is no makespan
+        # -- but the round still happened. Record the (all zero) tallies
+        # so engine_rounds_total matches the caller's round count
+        # instead of silently undercounting.
+        if metrics.enabled:
             eng._record_metrics(
-                metrics,
-                outcomes,
-                n_events=hi - lo,
-                contended=contended,
-                t_events=t_events,
-                t_resolve=t_resolve,
-                t_finalise=t_finalise,
-                t_round=t_events + t_resolve + t_finalise,
-                free_events=free_events,
+                metrics, {}, n_events=0, contended=0, free_events=0,
+                seconds=(0.0, 0.0, 0.0),
             )
-        results[ci] = RoundResult(
-            outcomes=outcomes,
-            collisions=tuple(collisions),
-            makespan=makespan,
-            faulted_links=faulted_links,
-        )
+        results[ci] = RoundResult(outcomes={}, collisions=(), makespan=None)
+    if not live:
+        return results  # type: ignore[return-value]
+    batch_metrics = get_metrics()
+    # Unobserved passes read no clock: float() is a free 0.0.
+    timed = batch_metrics.enabled or any(slot.metrics.enabled for slot in live)
+    clock = time.perf_counter if timed else float
+
+    with prof.span("engine.build_events"):
+        for slot in live:
+            start = clock()
+            eng = slot.engine
+            slot.runs = eng._begin_runs(slot.call.launches, slot.call.recorder)
+            slot.parts = eng._event_parts(slot.runs)
+            slot.dead_lids = eng._dead_lids(slot.call.dead_links)
+            slot.seconds = [clock() - start, 0.0, 0.0]
+        start = clock()
+        columns, rows, trial = _sorted_events(live)
+        shared = [clock() - start, 0.0]
+
+    with prof.span("engine.resolve"):
+        start = clock()
+        clashed = None
+        if any(slot.engine.backend != "python" for slot in live):
+            clashed = _clash_mask(live, columns, trial)
+        shared[1] = clock() - start
+        for slot, lo, hi in zip(live, rows, rows[1:]):
+            start = clock()
+            eng = slot.engine
+            slot.contended, slot.free_events = eng._apply_partition(
+                slot.runs, tuple(col[lo:hi] for col in columns),
+                None if eng.backend == "python" else clashed[lo:hi],
+                slot.dead_lids, slot.call.collect_collisions,
+                slot.call.recorder, slot.collisions, slot.faulted_at,
+            )
+            slot.seconds[1] = clock() - start
+
+    if len(live) == 1:
+        # A one-call pass shares nothing: its sort and clash test are
+        # its own build_events and resolve work.
+        live[0].seconds[0] += shared[0]
+        live[0].seconds[1] += shared[1]
+    elif batch_metrics.enabled:
+        for stage, secs in zip(_STAGES, shared):
+            batch_metrics.observe("engine_batch_stage_seconds", secs, stage=stage)
+
+    with prof.span("engine.finalise"):
+        for slot, lo, hi in zip(live, rows, rows[1:]):
+            start = clock()
+            eng = slot.engine
+            outcomes, makespan = eng._finalise(slot.runs)
+            faulted_links = tuple(
+                eng._links[lid]
+                for lid, _ in sorted(slot.faulted_at.items(), key=lambda kv: kv[1])
+            )
+            results[slot.index] = RoundResult(
+                outcomes=outcomes, collisions=tuple(slot.collisions),
+                makespan=makespan, faulted_links=faulted_links,
+            )
+            slot.seconds[2] = clock() - start
+            if slot.metrics.enabled:
+                eng._record_metrics(
+                    slot.metrics, outcomes, n_events=hi - lo,
+                    contended=slot.contended, free_events=slot.free_events,
+                    seconds=slot.seconds,
+                )
     return results  # type: ignore[return-value]
+
+
+def _sorted_events(
+    live: list[_Slot],
+) -> tuple[list[np.ndarray], list[int], np.ndarray | None]:
+    """The pass's event columns ``(t, lid, wl, pos, ri)``, sorted trial-major.
+
+    Returns the sorted columns, the row bounds of each slot's slice
+    (slot ``i`` owns rows ``rows[i]:rows[i + 1]``), and the trial id of
+    every row. A one-call pass sorts its own columns without a trial
+    key, and its trial column is None. Each slice is in that slot's
+    canonical order: its (t, lid, wl, pos, ri) keys are unique.
+    """
+    counts = [slot.parts[0].shape[0] for slot in live]
+    if len(live) == 1:
+        columns, trial = list(live[0].parts), None
+    else:
+        columns = [
+            np.concatenate([slot.parts[c] for slot in live]) for c in range(5)
+        ]
+        trial = np.repeat(np.arange(len(live), dtype=np.int64), counts)
+    t, _, wl = columns[:3]
+    keys = columns
+    engines = [slot.engine for slot in live]
+    bounds = [
+        int(t.max()) + 1, max(len(eng._links) for eng in engines),
+        int(wl.max()) + 1, max(eng._max_links for eng in engines),
+        max(len(slot.runs) for slot in live),
+    ]
+    if trial is not None:
+        # Trials keep their input blocks, so the sorted trial column is
+        # the unsorted one.
+        keys, bounds = [trial, *columns], [len(live), *bounds]
+    order = _lexorder(keys, bounds)
+    rows = list(accumulate(counts, initial=0))
+    return [col[order] for col in columns], rows, trial
+
+
+def _clash_mask(
+    live: list[_Slot], columns: list[np.ndarray], trial: np.ndarray | None
+) -> np.ndarray:
+    """:func:`_clashed` over the pass's (trial, link, wavelength) channels.
+
+    Each trial keeps its own ``max_worm_length - 1`` gap; the global
+    wavelength radix keeps the composite channel key injective.
+    """
+    t, lid, wl = columns[:3]
+    radix = int(wl.max()) + 1
+    chans = max(len(slot.engine._links) for slot in live) * radix
+    gaps = np.array([max(run.length for run in slot.runs) - 1 for slot in live])
+    chan, gap = lid * radix + wl, gaps[0]
+    if trial is not None:
+        chan, gap = chan + trial * chans, gaps[trial]
+    return _clashed(chan, t, gap, len(live) * chans, int(t.max()) + 1)

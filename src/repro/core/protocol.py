@@ -25,9 +25,7 @@ assignment of priorities ... whether these priorities are changed from
 round to round, chosen randomly, or deterministically".
 
 Fault awareness (not part of the paper's model): ``faults`` plugs in a
-:class:`~repro.faults.models.FaultModel` adversary (the deprecated
-``fault_rate=`` is a bit-identical alias for
-:class:`~repro.faults.models.TransientLinkFaults`); a
+:class:`~repro.faults.models.FaultModel` adversary; a
 :class:`~repro.faults.health.LinkHealthMonitor` accumulates dead-link
 evidence across rounds; ``repair="reroute"`` recomputes stranded worms'
 paths around suspected-dead links; ``backoff_after=K`` escalates the
@@ -42,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -67,7 +64,7 @@ from repro.core.records import (
 from repro.core.schedule import DelaySchedule, GeometricSchedule, ScheduleContext
 from repro.errors import ProtocolError
 from repro.faults.health import LinkHealthMonitor, StallDetector
-from repro.faults.models import FaultModel, TransientLinkFaults
+from repro.faults.models import FaultModel
 from repro.faults.repair import collection_links, reroute_path, surviving_graph
 from repro.observability.logconf import get_logger
 from repro.observability.metrics import MetricsRegistry, get_metrics
@@ -107,10 +104,8 @@ class ProtocolConfig:
     trees (Section 2.1) are built from.
 
     Fault handling: ``faults`` names the
-    :class:`~repro.faults.models.FaultModel` adversary (None = fault-free);
-    ``fault_rate`` is the deprecated alias for
-    ``faults=TransientLinkFaults(rate)`` and produces bit-identical
-    results. ``repair`` is ``"none"`` or ``"reroute"`` (reroute stranded
+    :class:`~repro.faults.models.FaultModel` adversary (None = fault-free).
+    ``repair`` is ``"none"`` or ``"reroute"`` (reroute stranded
     worms around suspected-dead links); ``suspect_after`` is how many
     fault-bearing rounds convict a link; ``backoff_after`` escalates a
     bounded exponential backoff on ``Delta_t`` after that many
@@ -121,13 +116,13 @@ class ProtocolConfig:
     which streaming runs need so one transient stall does not
     permanently inflate ``Delta_t``.
 
-    ``backend`` selects the engine's round kernel (``"python"``,
+    ``backend`` selects the engine's replay policy (``"python"``,
     ``"vectorized"`` or ``"batched"``, all bit-identical); None defers
     to the process default (see
-    :func:`repro.core.engine.set_default_backend`). ``"batched"``
-    additionally opts trial drivers (:func:`run_protocol_batch`, the
-    trial runner's batch dispatch) into simulating many seeds' rounds
-    through one stacked engine pass.
+    :func:`repro.core.engine.set_default_backend`). Every driver steps
+    its trials through the same lockstep loop; ``"batched"`` is what
+    makes the trial runner hand a worker a slice of seeds for
+    :func:`run_protocol_batch` instead of one seed at a time.
     """
 
     bandwidth: int
@@ -141,7 +136,6 @@ class ProtocolConfig:
     priority_mode: str = "random"
     track_congestion: bool = True
     collect_collisions: bool = False
-    fault_rate: float = 0.0
     faults: FaultModel | None = None
     repair: str = "none"
     suspect_after: int = 3
@@ -155,24 +149,6 @@ class ProtocolConfig:
             raise ProtocolError(
                 f"backend must be one of {BACKENDS} (or None for the "
                 f"process default), got {self.backend!r}"
-            )
-        if not 0.0 <= self.fault_rate < 1.0:
-            raise ProtocolError(
-                f"fault_rate must be in [0, 1), got {self.fault_rate}"
-            )
-        if self.fault_rate > 0.0:
-            if self.faults is not None:
-                raise ProtocolError(
-                    "pass either faults= or the deprecated fault_rate=, not both"
-                )
-            warnings.warn(
-                "fault_rate= is deprecated; pass "
-                "faults=TransientLinkFaults(rate) instead (bit-identical)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(
-                self, "faults", TransientLinkFaults(self.fault_rate)
             )
         if self.faults is not None and not isinstance(self.faults, FaultModel):
             raise ProtocolError(
@@ -217,11 +193,11 @@ class ProtocolConfig:
 class _TrialState:
     """Mutable per-execution loop state threaded through the round stepper.
 
-    One instance per :meth:`TrialAndFailureProtocol.run` (or lockstep
-    batch) execution. The stepper methods -- ``_start_trial``,
-    ``_prepare_round``, ``_absorb_round``, ``_finish_trial`` -- read and
-    mutate it, so the serial loop and :func:`run_protocol_batch` share
-    one round implementation and stay bit-identical by construction.
+    One instance per trial execution. The stepper methods --
+    ``_start_trial``, ``_prepare_round``, ``_absorb_round``,
+    ``_finish_trial`` -- read and mutate it, and :func:`_run_lockstep`
+    drives them for one trial (:meth:`TrialAndFailureProtocol.run`) or
+    many (:func:`run_protocol_batch`) alike.
     """
 
     __slots__ = (
@@ -248,11 +224,47 @@ class _TrialState:
         "monitor",
         "stall",
         "completed",
-        "rounds_used",
         "t",
         "current_congestion",
         "delta",
     )
+
+
+def _draw_launches(
+    active: list[int],
+    delta: int,
+    config: ProtocolConfig,
+    rng: np.random.Generator,
+) -> list[Launch]:
+    """One round's launches for the ``active`` worms, in their order.
+
+    Draws delays in ``[0, delta)``, then wavelengths in
+    ``[0, bandwidth)``, then (priority rule, random mode) a priority
+    permutation. The static protocol and the streaming engine both call
+    this, so their draw sequences cannot drift apart.
+    """
+    k = len(active)
+    delays = rng.integers(0, delta, size=k)
+    wavelengths = rng.integers(0, config.bandwidth, size=k)
+    if config.rule is CollisionRule.PRIORITY:
+        mode = config.priority_mode
+        if mode == "random":
+            priorities = rng.permutation(k)
+        elif mode == "uid":
+            priorities = np.array(active)
+        else:  # reverse_uid
+            priorities = -np.array(active)
+    else:
+        priorities = np.zeros(k, dtype=np.int64)
+    return [
+        Launch(
+            worm=uid,
+            delay=int(delays[i]),
+            wavelength=int(wavelengths[i]),
+            priority=int(priorities[i]),
+        )
+        for i, uid in enumerate(active)
+    ]
 
 
 class TrialAndFailureProtocol:
@@ -372,28 +384,8 @@ class TrialAndFailureProtocol:
     def _draw_launches(
         self, active: list[int], delta: int, rng: np.random.Generator
     ) -> list[Launch]:
-        k = len(active)
-        delays = rng.integers(0, delta, size=k)
-        wavelengths = rng.integers(0, self.config.bandwidth, size=k)
-        if self.config.rule is CollisionRule.PRIORITY:
-            mode = self.config.priority_mode
-            if mode == "random":
-                priorities = rng.permutation(k)
-            elif mode == "uid":
-                priorities = np.array(active)
-            else:  # reverse_uid
-                priorities = -np.array(active)
-        else:
-            priorities = np.zeros(k, dtype=np.int64)
-        return [
-            Launch(
-                worm=uid,
-                delay=int(delays[i]),
-                wavelength=int(wavelengths[i]),
-                priority=int(priorities[i]),
-            )
-            for i, uid in enumerate(active)
-        ]
+        """This round's launches; subclasses override to redraw wavelengths."""
+        return _draw_launches(active, delta, self.config, rng)
 
     def _route_acks(
         self, delivered: list[int], fwd_outcomes, rng: np.random.Generator
@@ -566,40 +558,23 @@ class TrialAndFailureProtocol:
             cfg.backoff_after, cfg.backoff_cap, cooldown=cfg.backoff_cooldown
         )
         st.completed = False
-        st.rounds_used = 0
         st.t = 0
         return st
-
-    def _measure_congestion(self, st: _TrialState) -> int | None:
-        """The surviving worms' path congestion (None when untracked).
-
-        Exactly what the serial loop feeds :meth:`_prepare_round`: a
-        one-row read of the live collection's share-matrix oracle (see
-        :func:`_live_congestion`), which repairs keep patched rather than
-        rebuilt. The lockstep driver reads the same oracle with one row
-        per trial of each live collection.
-        """
-        if not self.config.track_congestion:
-            return None
-        pristine = st.live_coll is self.collection
-        return _live_congestion(st.live_coll, [st.active], pristine)[0]
 
     def _prepare_round(
         self, st: _TrialState, current_congestion: int | None
     ) -> tuple[list[Launch], "list | None"]:
         """Advance to the next round and draw its launches and faults.
 
-        ``current_congestion`` is injected (rather than measured here) so
-        the lockstep batch driver can supply oracle-computed values; it
-        must equal what :meth:`_measure_congestion` would return. The
-        caller must not call past ``max_rounds``. Everything that draws
-        from the round RNG happens here, in the serial loop's exact
-        order: spawn the round generator, draw launches, then fault the
-        links.
+        ``current_congestion`` is the surviving worms' path congestion
+        (None when untracked), measured for all live trials at once by
+        :func:`_round_congestion`. The caller must not call past
+        ``max_rounds``. Everything that draws from the round RNG happens
+        here, in a fixed order: spawn the round generator, draw
+        launches, then fault the links.
         """
         cfg = self.config
         st.t += 1
-        st.rounds_used = st.t
         st.current_congestion = current_congestion
         ctx = dataclasses.replace(
             st.base_ctx, current_congestion=current_congestion
@@ -671,21 +646,7 @@ class TrialAndFailureProtocol:
             st.delivered_round.setdefault(uid, t)
         st.active = [uid for uid in st.active if uid not in acked]
 
-        eliminated = sum(
-            1
-            for o in result.outcomes.values()
-            if o.failure is FailureKind.ELIMINATED
-        )
-        truncated = sum(
-            1
-            for o in result.outcomes.values()
-            if o.failure is FailureKind.TRUNCATED
-        )
-        faulted = sum(
-            1
-            for o in result.outcomes.values()
-            if o.failure is FailureKind.FAULTED
-        )
+        kinds = Counter(o.failure for o in result.outcomes.values())
         duration = st.delta + 2 * st.dl
         observed = max(result.makespan or 0, ack_span) + 1
         st.total_time += duration
@@ -695,21 +656,21 @@ class TrialAndFailureProtocol:
             delay_range=st.delta,
             active_before=len(result.outcomes),
             delivered=len(delivered),
-            eliminated=eliminated,
-            truncated=truncated,
+            eliminated=kinds[FailureKind.ELIMINATED],
+            truncated=kinds[FailureKind.TRUNCATED],
             acked=len(acked),
             duration=duration,
             observed_span=observed,
             active_congestion=st.current_congestion,
-            faulted=faulted,
+            faulted=kinds[FailureKind.FAULTED],
         )
         st.records.append(record)
         if observe:
             metrics.inc("protocol_rounds_total")
             metrics.inc("protocol_delivered_total", len(delivered))
-            metrics.inc("protocol_eliminated_total", eliminated)
-            metrics.inc("protocol_truncated_total", truncated)
-            metrics.inc("protocol_faulted_total", faulted)
+            metrics.inc("protocol_eliminated_total", record.eliminated)
+            metrics.inc("protocol_truncated_total", record.truncated)
+            metrics.inc("protocol_faulted_total", record.faulted)
             metrics.inc("protocol_acked_total", len(acked))
             metrics.gauge("protocol_active_worms", len(st.active))
             if st.current_congestion is not None:
@@ -791,7 +752,7 @@ class TrialAndFailureProtocol:
                 "trial",
                 trial=self._trace_trial,
                 completed=st.completed,
-                rounds=st.rounds_used,
+                rounds=st.t,
                 total_time=st.total_time,
                 observed_time=st.observed_time,
                 delivered_round=st.delivered_round,
@@ -802,7 +763,7 @@ class TrialAndFailureProtocol:
             )
         return ProtocolResult(
             completed=st.completed,
-            rounds=st.rounds_used,
+            rounds=st.t,
             total_time=st.total_time,
             observed_time=st.observed_time,
             records=tuple(st.records),
@@ -815,46 +776,85 @@ class TrialAndFailureProtocol:
         )
 
     def run(self, rng=None) -> ProtocolResult:
-        """Execute rounds until every worm is acknowledged (or max_rounds)."""
-        cfg = self.config
-        prof = get_profiler()
-        st = self._start_trial(rng)
-        while st.t < cfg.max_rounds:
-            with prof.span("protocol.round"):
-                launches, dead_links = self._prepare_round(
-                    st, self._measure_congestion(st)
-                )
-                result = self.engine.run_round(
-                    launches,
-                    collect_collisions=cfg.collect_collisions,
-                    dead_links=dead_links,
-                    recorder=self._flight,
-                )
-                if self._absorb_round(st, result):
-                    break
-        return self._finish_trial(st)
+        """Execute rounds until every worm is acknowledged (or max_rounds).
+
+        The one-trial case of the lockstep loop behind
+        :func:`run_protocol_batch`.
+        """
+        return _run_lockstep([(self, self._start_trial(rng))])[0]
 
 
-def _live_congestion(
-    collection: PathCollection, actives: list[list[int]], pristine: bool
-) -> list[int]:
-    """``collection.subset(active).path_congestion`` for each of ``actives``.
+def _run_lockstep(
+    trials: list[tuple[TrialAndFailureProtocol, _TrialState]],
+) -> list[ProtocolResult]:
+    """Step every ``(protocol, state)`` pair to completion, round by round.
 
-    One :meth:`~repro.paths.collection.PathCollection.subset_congestion_batch`
-    call with one mask row per entry. The per-subset rebuild runs when
-    the collection is past the dense share matrix's size gate, and for a
-    repaired (not ``pristine``) collection past the rerouted-patch gate:
-    every repaired trial would own that matrix, at 4 * n**2 bytes each.
+    The one driver loop. Each lockstep round opens one
+    ``protocol.round`` span, measures every live trial's congestion,
+    draws each trial's launches and faults, simulates all of them in one
+    :func:`~repro.core.engine.run_round_batch` pass, and folds each
+    result back into its trial. A trial leaves the loop once every worm
+    is acknowledged or its ``max_rounds`` are spent.
     """
-    vals = None
-    if pristine or collection.n <= path_collection._PATCH_MAX_PATHS:
-        masks = np.zeros((len(actives), collection.n), dtype=bool)
-        for row, active in enumerate(actives):
-            masks[row, active] = True
-        vals = collection.subset_congestion_batch(masks)
-    if vals is None:
-        return [collection.subset(active).path_congestion for active in actives]
-    return vals.tolist()
+    prof = get_profiler()
+    results: list[ProtocolResult | None] = [None] * len(trials)
+    live = list(range(len(trials)))
+    while live:
+        with prof.span("protocol.round"):
+            stepping = [trials[i] for i in live]
+            calls = []
+            for (proto, st), congestion in zip(stepping, _round_congestion(stepping)):
+                launches, dead_links = proto._prepare_round(st, congestion)
+                calls.append(RoundCall(
+                    proto.engine, launches, proto.config.collect_collisions,
+                    dead_links, proto._flight,
+                ))
+            next_live = []
+            for i, (proto, st), result in zip(live, stepping, run_round_batch(calls)):
+                done = proto._absorb_round(st, result)
+                if done or st.t >= proto.config.max_rounds:
+                    results[i] = proto._finish_trial(st)
+                else:
+                    next_live.append(i)
+            live = next_live
+    return results  # type: ignore[return-value]
+
+
+def _round_congestion(
+    trials: list[tuple[TrialAndFailureProtocol, _TrialState]],
+) -> list[int | None]:
+    """Each trial's surviving-worm path congestion (None when untracked).
+
+    ``live_coll.subset(active).path_congestion``, read for each group of
+    trials sharing a live collection -- the shared pristine one, or a
+    repaired trial's patched
+    :meth:`~repro.paths.collection.PathCollection.rerouted` copy -- with
+    one :meth:`~repro.paths.collection.PathCollection.subset_congestion_batch`
+    call of one mask row per trial. The per-subset rebuild runs when the
+    collection is past the dense share matrix's size gate, and for a
+    repaired collection past the rerouted-patch gate: every repaired
+    trial would own that matrix, at 4 * n**2 bytes each.
+    """
+    congestion: list[int | None] = [None] * len(trials)
+    groups: dict[int, list[int]] = {}
+    for k, (proto, st) in enumerate(trials):
+        if proto.config.track_congestion:
+            groups.setdefault(id(st.live_coll), []).append(k)
+    for group in groups.values():
+        proto, st = trials[group[0]]
+        coll = st.live_coll
+        actives = [trials[k][1].active for k in group]
+        vals = None
+        if coll is proto.collection or coll.n <= path_collection._PATCH_MAX_PATHS:
+            masks = np.zeros((len(actives), coll.n), dtype=bool)
+            for row, active in enumerate(actives):
+                masks[row, active] = True
+            vals = coll.subset_congestion_batch(masks)
+        if vals is None:
+            vals = [coll.subset(active).path_congestion for active in actives]
+        for k, val in zip(group, vals):
+            congestion[k] = int(val)
+    return congestion
 
 
 def route_collection(
@@ -897,24 +897,19 @@ def run_protocol_batch(
     every round all still-running trials' launches go through a single
     :func:`repro.core.engine.run_round_batch` pass. Each trial's result
     is bit-identical to ``TrialAndFailureProtocol(collection,
-    config).run(seed)`` because the stepper methods driving both loops
-    are the same code and the batch kernel is bit-identical per trial.
-    Congestion tracking groups the live trials by their live collection
-    (the shared pristine one, or a repaired trial's patched
-    :meth:`~repro.paths.collection.PathCollection.rerouted` copy) and
-    reads each group's values with one exact share-matrix oracle call.
-    The per-trial ``subset`` measure serves collections too large for
-    the dense matrix and repaired collections too large to patch (see
-    :func:`_live_congestion`), so repaired trials never each hold a
-    matrix of more than 256 KiB. Simulated acks route serially per trial
-    on each trial's own ack engine.
+    config).run(seed)``: that is the one-trial case of the same lockstep
+    loop, and the engine pass is bit-identical per trial. Congestion
+    tracking reads each live collection's exact share-matrix oracle once
+    per round for all its trials; the per-trial ``subset`` measure
+    serves collections too large for the dense matrix and repaired
+    collections too large to patch (see :func:`_round_congestion`), so
+    repaired trials never each hold a matrix of more than 256 KiB.
+    Simulated acks route serially per trial on each trial's own ack
+    engine.
 
     ``metrics`` is None (process default for every trial), one shared
     registry, or a sequence of per-trial registries -- the last is how
     the instrumented trial runner keeps per-trial snapshots exact.
-    Profiler note: the serial loop's per-round ``protocol.round`` span
-    is not emitted here; the engine's ``engine.round_batch`` span tree
-    covers the shared work instead.
     """
     seeds = list(seeds)
     if not seeds:
@@ -939,47 +934,6 @@ def run_protocol_batch(
                 _share_from=protos[0] if protos else None,
             )
         )
-    states = [p._start_trial(seed) for p, seed in zip(protos, seeds)]
-
-    results: list[ProtocolResult | None] = [None] * len(seeds)
-    live = list(range(len(seeds)))
-    while live:
-        congestion: dict[int, int | None] = {i: None for i in live}
-        if config.track_congestion:
-            groups: dict[int, list[int]] = {}
-            for i in live:
-                groups.setdefault(id(states[i].live_coll), []).append(i)
-            for group in groups.values():
-                live_coll = states[group[0]].live_coll
-                vals = _live_congestion(
-                    live_coll,
-                    [states[i].active for i in group],
-                    live_coll is collection,
-                )
-                congestion.update(zip(group, vals))
-
-        calls = []
-        for i in live:
-            launches, dead_links = protos[i]._prepare_round(
-                states[i], congestion[i]
-            )
-            calls.append(
-                RoundCall(
-                    engine=protos[i].engine,
-                    launches=launches,
-                    collect_collisions=config.collect_collisions,
-                    dead_links=dead_links,
-                    recorder=protos[i]._flight,
-                )
-            )
-        round_results = run_round_batch(calls)
-
-        next_live = []
-        for i, result in zip(live, round_results):
-            done = protos[i]._absorb_round(states[i], result)
-            if done or states[i].t >= config.max_rounds:
-                results[i] = protos[i]._finish_trial(states[i])
-            else:
-                next_live.append(i)
-        live = next_live
-    return results  # type: ignore[return-value]
+    return _run_lockstep(
+        [(p, p._start_trial(seed)) for p, seed in zip(protos, seeds)]
+    )

@@ -2,11 +2,10 @@
 
 The paper's protocol is *implicitly* fault-tolerant: a worm lost to a
 dark fiber is indistinguishable from a collision loss, so the retry loop
-heals transient faults for free (experiment E-FAULT). This module turns
-the single i.i.d. ``fault_rate`` knob into a family of adversaries:
+heals transient faults for free (experiment E-FAULT). This module
+provides a family of adversaries:
 
 * :class:`TransientLinkFaults` -- per-round i.i.d. dark links;
-  bit-identical to the legacy ``fault_rate=`` behaviour;
 * :class:`GilbertElliott` -- bursty fades: each link runs a two-state
   (good/bad) Markov chain, so fault streaks are temporally correlated;
 * :class:`PersistentLinkFailures` -- links die at sampled rounds and
@@ -129,21 +128,20 @@ class _TransientRun(FaultRun):
     def dead_links(self, t, rng):
         if self.rate <= 0.0:
             return None
-        # Exactly the legacy ``fault_rate`` draw: one uniform per link
-        # from the round generator, after the launch draws.
+        # One uniform per link from the round generator, after the
+        # launch draws.
         mask = rng.random(len(self.links)) < self.rate
         return [lk for lk, dead in zip(self.links, mask) if dead]
 
 
 @dataclass(frozen=True)
 class TransientLinkFaults(FaultModel):
-    """I.i.d. per-round link faults (the legacy ``fault_rate`` model).
+    """I.i.d. per-round link faults.
 
     Each directed link in use is independently dark each round with
     probability ``rate``. Draws come from the protocol's round
-    generator at the same stream position as the deprecated
-    ``fault_rate=`` path, so results are bit-identical; ``rate=0``
-    consumes nothing and equals a fault-free run bit-for-bit.
+    generator, after the launch draws; ``rate=0`` consumes nothing and
+    equals a fault-free run bit-for-bit.
     """
 
     rate: float = 0.0

@@ -50,13 +50,11 @@ def fault_label(config: ProtocolConfig) -> str:
 
     The run ledger groups history by (workload, backend, fault-model,
     scenario); this is the fault-model coordinate -- ``"none"`` for a
-    fault-free config, otherwise the fault spec / rate / repair policy.
+    fault-free config, otherwise the fault spec and repair policy.
     """
     parts = []
     if config.faults is not None:
         parts.append(stable_repr(config.faults))
-    if config.fault_rate:
-        parts.append(f"rate={config.fault_rate}")
     if config.repair != "none":
         parts.append(f"repair={config.repair}")
     return ",".join(parts) or "none"

@@ -18,7 +18,7 @@ consequences, both pinned by tests:
 
 * with ``arrivals=None`` (drain mode) the engine replays the exact draw
   sequence of :class:`~repro.core.protocol.TrialAndFailureProtocol` and
-  produces bit-identical per-round records on either backend;
+  produces bit-identical per-round records on every backend;
 * a fixed (scenario, seed) pair yields an identical
   :meth:`StreamingResult.snapshot` on every run.
 """
@@ -31,22 +31,19 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
-import numpy as np
-
 from repro._util import as_generator, spawn_generator
 from repro.core.engine import RoutingEngine
-from repro.core.protocol import ProtocolConfig
+from repro.core.protocol import ProtocolConfig, _draw_launches
 from repro.core.schedule import ScheduleContext
 from repro.errors import ScenarioError
 from repro.faults.health import StallDetector
 from repro.network.topology import Topology
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
-from repro.optics.coupler import CollisionRule
 from repro.paths.collection import PathCollection
 from repro.scenarios.arrivals import ArrivalProcess
 from repro.scenarios.traffic import TrafficPattern
-from repro.worms.worm import Launch, Worm, make_worms
+from repro.worms.worm import Worm, make_worms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.trace import TraceWriter
@@ -298,34 +295,6 @@ class StreamingResult:
             "latency_p95": self.latency_quantile(0.95),
             "latency_p99": self.latency_quantile(0.99),
         }
-
-
-def _draw_launches(
-    active: list[int], delta: int, proto: ProtocolConfig, rng: np.random.Generator
-) -> list[Launch]:
-    """Per-round launch draws, replicating the static protocol exactly."""
-    k = len(active)
-    delays = rng.integers(0, delta, size=k)
-    wavelengths = rng.integers(0, proto.bandwidth, size=k)
-    if proto.rule is CollisionRule.PRIORITY:
-        mode = proto.priority_mode
-        if mode == "random":
-            priorities = rng.permutation(k)
-        elif mode == "uid":
-            priorities = np.array(active)
-        else:  # reverse_uid
-            priorities = -np.array(active)
-    else:
-        priorities = np.zeros(k, dtype=np.int64)
-    return [
-        Launch(
-            worm=uid,
-            delay=int(delays[i]),
-            wavelength=int(wavelengths[i]),
-            priority=int(priorities[i]),
-        )
-        for i, uid in enumerate(active)
-    ]
 
 
 #: Latency samples retained per window; windows holding more acks than

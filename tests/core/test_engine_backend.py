@@ -19,6 +19,7 @@ from repro.core.engine import (
     RoundCall,
     RoutingEngine,
     _clashed,
+    _lexorder,
     get_default_backend,
     run_round,
     run_round_batch,
@@ -278,7 +279,10 @@ def _all_backends(worms, launches, rule, dead_links=()):
 
     Returns ``(results, streams, engine)``: the backends' RoundResults
     plus ``reference_run_round``'s, and each backend's flight-recorder
-    stream.
+    stream. The ``mixed-*`` entries come from one ``run_round_batch``
+    pass holding a python and a vectorized engine; ``streams`` also
+    carries each one's ``engine_free_events_total`` under
+    ``mixed-<backend>-free``.
     """
     results, streams = {}, {}
     for backend in ("python", "vectorized", "batched", "batch-kernel"):
@@ -301,6 +305,31 @@ def _all_backends(worms, launches, rule, dead_links=()):
             )
         recorder.end_round(result.makespan)
         results[backend], streams[backend] = result, collector.records
+    # One pass holding a replay-all and a replay-clashes engine.
+    calls, collectors, registries = [], [], []
+    for backend in ("python", "vectorized"):
+        collector = _Collector()
+        recorder = FlightRecorder(collector)
+        recorder.describe_worms(worms)
+        recorder.begin_round(1)
+        registry = MetricsRegistry()
+        calls.append(RoundCall(
+            RoutingEngine(worms, rule, TieRule.ALL_LOSE, metrics=registry,
+                          backend=backend),
+            launches, dead_links=dead_links or None, recorder=recorder,
+        ))
+        collectors.append(collector)
+        registries.append(registry)
+    for backend, call, collector, registry, result in zip(
+        ("python", "vectorized"), calls, collectors, registries,
+        run_round_batch(calls),
+    ):
+        call.recorder.end_round(result.makespan)
+        results[f"mixed-{backend}"] = result
+        streams[f"mixed-{backend}"] = collector.records
+        streams[f"mixed-{backend}-free"] = registry.value(
+            "engine_free_events_total", rule=rule.name.lower()
+        )
     results["reference"] = reference_run_round(
         worms, launches, rule, TieRule.ALL_LOSE, dead_links=dead_links or None
     )
@@ -309,10 +338,14 @@ def _all_backends(worms, launches, rule, dead_links=()):
 
 def _assert_identical(results, streams):
     py = results["python"]
-    for backend in ("vectorized", "batched", "batch-kernel"):
+    for backend in (
+        "vectorized", "batched", "batch-kernel", "mixed-python",
+        "mixed-vectorized",
+    ):
         assert results[backend] == py, backend
         assert results[backend].faulted_links == py.faulted_links, backend
         assert streams[backend] == streams["python"], backend
+    assert streams["mixed-python-free"] == 0
     ref = results["reference"]
     assert ref.outcomes == py.outcomes
     assert ref.makespan == py.makespan
@@ -321,8 +354,14 @@ def _assert_identical(results, streams):
 def _clashed_positions(engine, launches, uid):
     """The positions of worm ``uid`` whose events the partition replays."""
     runs = engine._begin_runs(launches, None)
-    t, lid, wl, pos, ri = engine._build_event_arrays(runs)
+    t, lid, wl, pos, ri = engine._event_parts(runs)
     radix = int(wl.max()) + 1
+    order = _lexorder(
+        (t, lid, wl, pos, ri),
+        (int(t.max()) + 1, len(engine._links), radix, engine._max_links,
+         len(runs)),
+    )
+    t, lid, wl, pos, ri = (col[order] for col in (t, lid, wl, pos, ri))
     gap = max(run.length for run in runs) - 1
     mask = _clashed(
         lid * radix + wl, t, gap, len(engine._links) * radix, int(t[-1]) + 1

@@ -1,12 +1,9 @@
 """Tests for link-fault injection."""
 
-import pytest
-
 from repro.core.engine import run_round
-from repro.core.protocol import ProtocolConfig, route_collection
+from repro.core.protocol import route_collection
 from repro.core.schedule import GeometricSchedule
 from repro.core.stats import failure_breakdown
-from repro.errors import ProtocolError
 from repro.faults import TransientLinkFaults
 from repro.optics.coupler import CollisionRule
 from repro.paths.collection import PathCollection
@@ -92,12 +89,6 @@ class TestEngineDeadLinks:
 
 
 class TestProtocolFaults:
-    def test_fault_rate_validated(self):
-        with pytest.raises(ProtocolError):
-            ProtocolConfig(bandwidth=1, fault_rate=1.0)
-        with pytest.raises(ProtocolError):
-            ProtocolConfig(bandwidth=1, fault_rate=-0.1)
-
     def test_transient_faults_retried_to_completion(self):
         coll = type2_bundle(congestion=12, D=6).collection
         result = route_collection(

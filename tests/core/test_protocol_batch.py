@@ -76,9 +76,8 @@ class TestBitIdentity:
         assert run_protocol_batch(collection, CONFIGS[0], []) == []
 
     def test_per_trial_metrics_match_serial(self, collection):
-        # The serial baseline runs vectorized: counters the batch kernel
-        # shares with that family (e.g. engine_free_events_total) are
-        # never emitted by the scalar backend.
+        # Both sides run vectorized: engine_free_events_total depends on
+        # the replay policy, not on the driver.
         config = replace(CONFIGS[-1], backend="vectorized")
         serial_snaps = []
         for s in SEEDS:
@@ -86,7 +85,7 @@ class TestBitIdentity:
             TrialAndFailureProtocol(collection, config, metrics=reg).run(s)
             serial_snaps.append(_strip(reg.snapshot()))
         registries = [MetricsRegistry() for _ in SEEDS]
-        run_protocol_batch(collection, CONFIGS[-1], SEEDS, metrics=registries)
+        run_protocol_batch(collection, config, SEEDS, metrics=registries)
         batch_snaps = [_strip(r.snapshot()) for r in registries]
         assert batch_snaps == serial_snaps
 
@@ -98,7 +97,7 @@ class TestBitIdentity:
             TrialAndFailureProtocol(collection, config, metrics=reg).run(s)
             merged.merge(reg.snapshot())
         shared = MetricsRegistry()
-        run_protocol_batch(collection, CONFIGS[0], SEEDS, metrics=shared)
+        run_protocol_batch(collection, config, SEEDS, metrics=shared)
         assert _strip(shared.snapshot()) == _strip(merged.snapshot())
 
     def test_metrics_sequence_length_mismatch_raises(self, collection):

@@ -2,7 +2,6 @@
 
 import json
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -80,29 +79,10 @@ class TestSeedDeterminism:
 
 
 class TestLegacyEquivalence:
-    def test_fault_rate_alias_bit_identical(self, collection):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = _run(collection, fault_rate=0.05)
-        assert legacy == _run(collection, faults=TransientLinkFaults(0.05))
-
     def test_rate_zero_is_no_fault_run(self, collection):
         plain = _run(collection)
         assert plain == _run(collection, faults=TransientLinkFaults(0.0))
         assert plain == _run(collection, faults=NoFaults())
-
-    def test_fault_rate_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="fault_rate"):
-            cfg = ProtocolConfig(bandwidth=2, fault_rate=0.1)
-        assert cfg.faults == TransientLinkFaults(0.1)
-
-    def test_fault_rate_and_faults_conflict(self):
-        with pytest.raises(ProtocolError, match="not both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                ProtocolConfig(
-                    bandwidth=2, fault_rate=0.1, faults=NoFaults()
-                )
 
 
 class TestValidation:

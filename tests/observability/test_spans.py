@@ -12,8 +12,13 @@ import time
 
 import pytest
 
-from repro.core.engine import RoutingEngine
-from repro.core.protocol import route_collection
+from repro.core.engine import BACKENDS, RoutingEngine
+from repro.core.protocol import (
+    ProtocolConfig,
+    TrialAndFailureProtocol,
+    route_collection,
+    run_protocol_batch,
+)
 from repro.observability.spans import (
     NULL_PROFILER,
     NullProfiler,
@@ -212,6 +217,31 @@ class TestEngineInstrumentation:
             snap["protocol.round/engine.round/engine.resolve"]["count"]
             == result.rounds
         )
+
+    def test_same_span_paths_for_every_backend_and_driver(self):
+        """A profile's shape names the layers, not the backend or driver."""
+        coll = type2_bundle(congestion=4, D=6).collection
+        shapes = {}
+        for backend in BACKENDS:
+            config = ProtocolConfig(bandwidth=2, backend=backend)
+            drivers = {
+                "serial": lambda: TrialAndFailureProtocol(coll, config).run(7),
+                "batch": lambda: run_protocol_batch(coll, config, [7, 8]),
+            }
+            for driver, run in drivers.items():
+                prof = enable_profiling()
+                try:
+                    run()
+                finally:
+                    disable_profiling()
+                shapes[backend, driver] = set(prof.snapshot())
+        engine = "protocol.round/engine.round"
+        expected = {"protocol.round", engine} | {
+            f"{engine}/engine.{stage}"
+            for stage in ("build_events", "resolve", "finalise")
+        }
+        for key, paths in shapes.items():
+            assert paths == expected, key
 
     def test_profiled_run_matches_unprofiled(self):
         coll = type2_bundle(congestion=4, D=6).collection
