@@ -9,16 +9,25 @@ machine ::
                                       |
                                       +--(attempts exhausted)--> quarantined
 
-Every transition is committed with :func:`commit_json`: the payload is
-fsynced to a temp file, atomically renamed over the journal, the
-directory entry fsynced, and then a second identical copy is renamed
-over the ``.bak`` sibling. A crash between the two renames leaves the
-backup one commit behind -- still a valid state, just slightly stale --
-and :func:`load_json` falls back to it whenever the primary is torn or
+Transitions mutate the in-memory rows; durability comes in *steps*.
+Inside :meth:`SweepJournal.step` every transition of one supervision
+step (its reaps, failures and leases) is held in memory, and leaving
+the step commits them all at once. A transition made outside any step
+is a step of its own and commits immediately. The supervisor spawns a
+step's workers only after the step has committed, so a running worker
+always holds a durable lease.
+
+A commit goes through :func:`commit_json`: the payload is fsynced to a
+temp file, atomically renamed over the journal, the directory entry
+fsynced, and then a second identical copy is renamed over the ``.bak``
+sibling. A crash between the two renames leaves the backup one commit
+behind -- still a valid state, just slightly stale -- and
+:func:`load_json` falls back to it whenever the primary is torn or
 truncated (which the chaos harness's ``truncate_journal`` knob inflicts
 on purpose). Staleness is safe by construction: shard *results* live in
 their own content-addressed files, so a lost ``done`` transition merely
-re-discovers the finished result file on the next poll.
+re-discovers the finished result file when a supervisor next adopts
+published results.
 
 The journal embeds the plan digest; loading it against a different plan
 is refused rather than silently mixing incomparable shard sets.
@@ -26,14 +35,16 @@ is refused rather than silently mixing incomparable shard sets.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import pathlib
 import time
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro._util import durable_write_text
 from repro.errors import SweepError
+from repro.observability.spans import get_profiler
 
 __all__ = ["SHARD_STATES", "SweepJournal", "commit_json", "load_json"]
 
@@ -111,7 +122,7 @@ def _new_shard_row() -> dict:
 
 
 class SweepJournal:
-    """In-memory view of the work queue, committed durably on mutation.
+    """In-memory view of the work queue, committed durably once per step.
 
     One supervisor owns the journal at a time (``owner`` is a purely
     informational id recorded into leases); after a supervisor dies, a
@@ -131,6 +142,8 @@ class SweepJournal:
         self.plan_digest = plan_digest
         self._shards = shards
         self.created_unix = created_unix
+        self._in_step = False
+        self._dirty = False
 
     # -- construction --------------------------------------------------------
 
@@ -200,7 +213,34 @@ class SweepJournal:
 
     def commit(self) -> None:
         """Durably persist the current state (primary + backup twin)."""
-        commit_json(self.path, self.to_dict(), backup=True)
+        with get_profiler().span("sweep.commit"):
+            commit_json(self.path, self.to_dict(), backup=True)
+        self._dirty = False
+
+    @contextlib.contextmanager
+    def step(self) -> Iterator[None]:
+        """One supervision step: its transitions share one durable commit.
+
+        Transitions inside the block change memory only; leaving it
+        commits them once (nothing is written when none happened). A
+        block left by an exception does not commit: what it changed
+        reaches disk with the next commit, or is re-derived by a
+        successor from the last committed state and the published
+        result files.
+        """
+        self._in_step = True
+        try:
+            yield
+        finally:
+            self._in_step = False
+        if self._dirty:
+            self.commit()
+
+    def _changed(self) -> None:
+        """Note a transition; commit now unless a step is open."""
+        self._dirty = True
+        if not self._in_step:
+            self.commit()
 
     # -- queries -------------------------------------------------------------
 
@@ -254,7 +294,7 @@ class SweepJournal:
             for row in self._shards.values()
         )
 
-    # -- transitions (each commits durably) ----------------------------------
+    # -- transitions (durable at the end of their step) ----------------------
 
     def lease(
         self,
@@ -273,7 +313,7 @@ class SweepJournal:
         row["state"] = "leased"
         row["attempts"] += 1
         row["lease"] = {"owner": owner, "pid": pid, "since": now}
-        self.commit()
+        self._changed()
         return row["attempts"]
 
     def complete(self, index: int, result: str) -> None:
@@ -282,7 +322,7 @@ class SweepJournal:
         row["state"] = "done"
         row["lease"] = None
         row["result"] = result
-        self.commit()
+        self._changed()
 
     def fail(
         self,
@@ -303,7 +343,7 @@ class SweepJournal:
         else:
             row["state"] = "failed"
             row["not_before"] = retry_at if retry_at is not None else now
-        self.commit()
+        self._changed()
 
     def release(self, index: int) -> None:
         """Demote a leased shard back to its retry pool without blame.
@@ -316,7 +356,7 @@ class SweepJournal:
         if row["state"] == "leased":
             row["state"] = "failed" if row["attempts"] else "pending"
             row["lease"] = None
-            self.commit()
+            self._changed()
 
     def reset(self, indices: Iterable[int]) -> list[int]:
         """Return quarantined shards to ``pending`` with a fresh attempt budget."""
@@ -331,7 +371,7 @@ class SweepJournal:
             row["lease"] = None
             touched.append(index)
         if touched:
-            self.commit()
+            self._changed()
         return touched
 
     def __repr__(self) -> str:

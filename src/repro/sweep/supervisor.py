@@ -6,6 +6,11 @@ to completion through the durable :class:`~repro.sweep.journal.SweepJournal`:
 * up to ``workers`` shard processes run concurrently, each heartbeating
   to a liveness file; a heartbeat staler than ``lease_timeout`` gets the
   worker SIGKILLed and its lease expired;
+* the loop is event-driven: it blocks on the live workers' process
+  sentinels and wakes when one exits, when a lease could next expire,
+  or when a backoff elapses -- never on a fixed poll tick;
+* each pass is one journal step: its reaps, failures and leases commit
+  once, before any worker it leases is spawned;
 * a failed or expired attempt backs off exponentially (base doubling,
   capped) plus a deterministic jitter drawn from a *dedicated* hash
   stream of ``(backoff_seed, shard, attempt)`` -- never from the trial
@@ -33,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import pathlib
 import signal
@@ -77,6 +83,7 @@ class SweepOptions:
 
     ``workers=0`` selects the in-process serial reference mode.
     ``lease_timeout`` is the heartbeat staleness that expires a lease;
+    ``heartbeat_interval`` how often a worker refreshes its heartbeat;
     ``max_attempts`` the per-shard budget before quarantine; the backoff
     delay for attempt *k* is ``min(cap, base * 2**(k-1))`` plus a
     deterministic jitter in ``[0, base)``. ``chaos`` switches on the
@@ -86,7 +93,6 @@ class SweepOptions:
     workers: int = 2
     lease_timeout: float = 5.0
     heartbeat_interval: float = 0.2
-    poll_interval: float = 0.05
     max_attempts: int = 3
     backoff_base: float = 0.05
     backoff_cap: float = 1.0
@@ -104,10 +110,6 @@ class SweepOptions:
             raise SweepError(
                 "heartbeat_interval must be positive, got "
                 f"{self.heartbeat_interval}"
-            )
-        if self.poll_interval <= 0:
-            raise SweepError(
-                f"poll_interval must be positive, got {self.poll_interval}"
             )
         if self.max_attempts < 1:
             raise SweepError(
@@ -224,11 +226,12 @@ class SweepSupervisor:
         journal = SweepJournal.load(
             self.journal_path, plan_digest=plan.digest()
         )
-        for index in journal.in_state("leased"):
-            # A lease can only be orphaned here: our workers aren't
-            # running yet, so whoever held it is gone.
-            journal.release(index)
-            self.metrics.inc("sweep_leases_released_total")
+        with journal.step():
+            for index in journal.in_state("leased"):
+                # A lease can only be orphaned here: our workers aren't
+                # running yet, so whoever held it is gone.
+                journal.release(index)
+                self.metrics.inc("sweep_leases_released_total")
         return self._supervise(plan, journal)
 
     def retry_quarantined(self) -> SweepReport:
@@ -237,11 +240,12 @@ class SweepSupervisor:
         journal = SweepJournal.load(
             self.journal_path, plan_digest=plan.digest()
         )
-        revived = journal.reset(journal.in_state("quarantined"))
-        if revived:
-            _log.info("retrying quarantined shard(s) %s", revived)
-        for index in journal.in_state("leased"):
-            journal.release(index)
+        with journal.step():
+            revived = journal.reset(journal.in_state("quarantined"))
+            if revived:
+                _log.info("retrying quarantined shard(s) %s", revived)
+            for index in journal.in_state("leased"):
+                journal.release(index)
         return self._supervise(plan, journal)
 
     def status(self) -> SweepReport:
@@ -310,11 +314,17 @@ class SweepSupervisor:
             index, error, now=now, retry_at=now + delay, quarantine=False
         )
 
-    def _adopt_results(self, plan: SweepPlan, journal: SweepJournal) -> int:
-        """Mark shards with valid published results done (idempotent)."""
+    def _adopt_results(self, journal: SweepJournal) -> int:
+        """Mark unleased shards with valid published results done.
+
+        These are results no worker of ours was seen finishing: a dead
+        supervisor's leftovers, or the late publication of a worker it
+        orphaned. A worker this supervisor reaps is settled by
+        :meth:`_settle` instead, so every shard completes exactly once.
+        """
         digest = journal.plan_digest
         adopted = 0
-        for index in journal.in_state("pending", "failed", "leased"):
+        for index in journal.in_state("pending", "failed"):
             if worker_mod.load_result(self.dir, index, digest) is not None:
                 journal.complete(
                     index, str(worker_mod.result_path(self.dir, index).name)
@@ -358,16 +368,14 @@ class SweepSupervisor:
                 "serial mode ignores chaos kill_after/hang_after (they "
                 "would kill the supervisor itself, not a worker)"
             )
-        self._adopt_results(plan, journal)
+        self._adopt_results(journal)
         while not journal.is_settled():
             now = time.time()
             ready = journal.leasable(now)
             if not ready:
-                wake = journal.next_wakeup()
-                time.sleep(
-                    min(self.options.poll_interval, max(0.0, (wake or now) - now))
-                    or self.options.poll_interval
-                )
+                # Everything left is backing off: nap until the first
+                # retry is due.
+                time.sleep(max(0.0, journal.next_wakeup() - now))
                 continue
             index = ready[0]
             attempt = journal.lease(
@@ -437,107 +445,135 @@ class SweepSupervisor:
             return default
         return text or default
 
+    def _settle(
+        self,
+        journal: SweepJournal,
+        index: int,
+        lease: _Lease,
+        now: float,
+        *,
+        expired: bool,
+    ) -> None:
+        """Record how a worker's attempt ended: done, retry or quarantine.
+
+        ``expired`` marks a worker the loop killed for a stale heartbeat
+        rather than saw exit; a result it published anyway is adopted.
+        """
+        digest = journal.plan_digest
+        if worker_mod.load_result(self.dir, index, digest) is not None:
+            journal.complete(
+                index, worker_mod.result_path(self.dir, index).name
+            )
+            if expired:
+                self.metrics.inc("sweep_results_adopted_total")
+            else:
+                self.metrics.inc("sweep_shards_done_total")
+                self.metrics.observe(
+                    "sweep_shard_seconds", now - lease.started
+                )
+            return
+        if expired:
+            error = "lease expired (heartbeat stale)"
+        else:
+            code = lease.proc.exitcode
+            error = self._worker_error(
+                index,
+                f"worker killed by signal {-code}"
+                if code is not None and code < 0
+                else f"worker exited {code} without a result",
+            )
+        self._fail_shard(journal, index, lease.attempt, error, now=now)
+
+    def _reap(
+        self,
+        journal: SweepJournal,
+        active: dict[int, _Lease],
+        exited: list,
+        now: float,
+    ) -> list[float]:
+        """Settle exited workers and expire stale leases, in place.
+
+        A worker counts as exited when its sentinel is in ``exited`` (the
+        last wait's ready list) or it has an exit code. A live worker
+        whose heartbeat is staler than ``lease_timeout`` (hung or
+        wedged) is SIGKILLed and routed through retry. Returns the
+        moments at which the surviving leases could next expire.
+        """
+        timeout = self.options.lease_timeout
+        deadlines = []
+        for index, lease in list(active.items()):
+            proc = lease.proc
+            if proc.sentinel in exited or proc.exitcode is not None:
+                proc.join()
+                del active[index]
+                self._settle(journal, index, lease, now, expired=False)
+                continue
+            beat = worker_mod.read_heartbeat(self.dir, index)
+            last = beat["time"] if beat else lease.started
+            if now - last <= timeout:
+                deadlines.append(last + timeout)
+                continue
+            _log.warning(
+                "shard %d heartbeat stale for %.1fs; killing worker pid %s",
+                index,
+                now - last,
+                proc.pid,
+            )
+            self.metrics.inc("sweep_leases_expired_total")
+            self._kill(proc)
+            del active[index]
+            self._settle(journal, index, lease, now, expired=True)
+        return deadlines
+
     def _run_supervised(
         self, plan: SweepPlan, journal: SweepJournal, chaos: ChaosPolicy
     ) -> None:
+        """The event loop: one journal step, its spawns, then a wait.
+
+        Each pass reaps, adopts stray results and leases shards for the
+        free worker slots inside one journal step, so its transitions
+        commit once and before any of its workers starts. It then
+        blocks on the live workers' sentinels until one exits, a lease
+        could expire (last heartbeat + ``lease_timeout``) or, with a
+        slot free, a backoff elapses.
+        """
+        profiler = get_profiler()
         active: dict[int, _Lease] = {}
+        exited: list = []
         try:
             while True:
-                now = time.time()
-                self._adopt_results(plan, journal)
-
-                # Reap exited workers.
-                for index in list(active):
-                    lease = active[index]
-                    if lease.proc.exitcode is None:
-                        continue
-                    lease.proc.join()
-                    del active[index]
-                    if (
-                        worker_mod.load_result(
-                            self.dir, index, journal.plan_digest
+                with journal.step():
+                    now = time.time()
+                    deadlines = self._reap(journal, active, exited, now)
+                    self._adopt_results(journal)
+                    spawns = []
+                    free = self.options.workers - len(active)
+                    for index in journal.leasable(now)[:free]:
+                        attempt = journal.lease(
+                            index, owner=self.owner, pid=None, now=now
                         )
-                        is not None
-                    ):
-                        journal.complete(
-                            index,
-                            worker_mod.result_path(self.dir, index).name,
-                        )
-                        self.metrics.inc("sweep_shards_done_total")
-                        self.metrics.observe(
-                            "sweep_shard_seconds", now - lease.started
-                        )
-                        continue
-                    code = lease.proc.exitcode
-                    default = (
-                        f"worker killed by signal {-code}"
-                        if code is not None and code < 0
-                        else f"worker exited {code} without a result"
-                    )
-                    self._fail_shard(
-                        journal,
-                        index,
-                        lease.attempt,
-                        self._worker_error(index, default),
-                        now=now,
-                    )
-
-                # Expire leases whose heartbeats went stale (hung or
-                # wedged workers): SIGKILL and route through retry.
-                for index in list(active):
-                    lease = active[index]
-                    beat = worker_mod.read_heartbeat(self.dir, index)
-                    last = beat["time"] if beat else lease.started
-                    if now - last <= self.options.lease_timeout:
-                        continue
-                    _log.warning(
-                        "shard %d heartbeat stale for %.1fs; killing worker "
-                        "pid %s",
-                        index,
-                        now - last,
-                        lease.proc.pid,
-                    )
-                    self.metrics.inc("sweep_leases_expired_total")
-                    self._kill(lease.proc)
-                    del active[index]
-                    self._fail_shard(
-                        journal,
-                        index,
-                        lease.attempt,
-                        "lease expired (heartbeat stale)",
-                        now=now,
-                    )
-
-                # Launch up to the worker budget.
-                for index in journal.leasable(now):
-                    if len(active) >= self.options.workers:
-                        break
-                    if index in active:
-                        continue
-                    attempt = journal.lease(
-                        index, owner=self.owner, pid=None, now=now
-                    )
-                    active[index] = self._spawn(plan, index, attempt, chaos)
-
+                        spawns.append((index, attempt))
+                if spawns:
+                    with profiler.span("sweep.spawn"):
+                        for index, attempt in spawns:
+                            lease = self._spawn(plan, index, attempt, chaos)
+                            active[index] = lease
+                            deadlines.append(
+                                lease.started + self.options.lease_timeout
+                            )
                 self._maybe_truncate_journal(chaos)
 
                 if not active and journal.is_settled():
                     break
-                if not active and not journal.leasable(time.time()):
-                    # Everything left is backing off; nap until the
-                    # earliest retry instead of spinning.
+                if len(active) < self.options.workers:
                     wake = journal.next_wakeup()
-                    if wake is None and journal.is_settled():
-                        break
-                    naptime = self.options.poll_interval
                     if wake is not None:
-                        naptime = max(
-                            self.options.poll_interval / 5,
-                            min(naptime, wake - time.time()),
-                        )
-                    time.sleep(naptime)
-                    continue
-                time.sleep(self.options.poll_interval)
+                        deadlines.append(wake)
+                with profiler.span("sweep.wait"):
+                    exited = multiprocessing.connection.wait(
+                        [lease.proc.sentinel for lease in active.values()],
+                        timeout=max(0.0, min(deadlines) - time.time()),
+                    )
         finally:
             for lease in active.values():
                 self._kill(lease.proc)

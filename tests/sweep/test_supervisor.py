@@ -190,3 +190,90 @@ class TestResume:
         ).resume()
         assert report.counts["done"] == 4
         assert report.counts["leased"] == 0
+
+
+class TestEventLoop:
+    def test_wakes_on_worker_exit(self, tmp_path, plan, serial_merged):
+        """A slow heartbeat and a long lease never pace the loop.
+
+        Two waves of workers that each waited out one heartbeat period
+        would take at least 4 s; waking on worker exit takes a fraction.
+        """
+        report, merged = _run(
+            tmp_path,
+            plan,
+            workers=2,
+            heartbeat_interval=2.0,
+            lease_timeout=30,
+        )
+        assert report.counts["done"] == 4
+        assert merged == serial_merged
+        assert report.wall_seconds < 1.5
+
+    def test_lease_is_durable_before_spawn(
+        self, tmp_path, plan, serial_merged, monkeypatch
+    ):
+        """Every worker starts only after its lease is on disk."""
+        seen = []
+        spawn = SweepSupervisor._spawn
+
+        def checked_spawn(self, plan, index, attempt, chaos):
+            rows = json.loads((self.dir / "journal.json").read_text())
+            row = rows["shards"][str(index)]
+            seen.append((index, attempt, row["state"], row["attempts"]))
+            return spawn(self, plan, index, attempt, chaos)
+
+        monkeypatch.setattr(SweepSupervisor, "_spawn", checked_spawn)
+        # Each first attempt SIGKILLs itself, so retries are spawned too.
+        report, merged = _run(
+            tmp_path,
+            plan,
+            workers=2,
+            max_attempts=3,
+            chaos=parse_chaos_spec("kill_after=1,attempts=1"),
+        )
+        assert report.counts["done"] == 4
+        assert merged == serial_merged
+        assert sorted(index for index, *_ in seen) == [0, 0, 1, 1, 2, 2, 3, 3]
+        for index, attempt, state, attempts in seen:
+            assert (state, attempts) == ("leased", attempt), index
+
+    def test_each_shard_completes_exactly_once(
+        self, tmp_path, plan, monkeypatch
+    ):
+        """No double completion, and one journal commit per step."""
+        from repro.observability import MetricsRegistry
+        from repro.sweep import journal as journal_mod
+
+        commits = []
+        commit_json = journal_mod.commit_json
+
+        def counting_commit(path, payload, **kwargs):
+            commits.append(str(path))
+            commit_json(path, payload, **kwargs)
+
+        monkeypatch.setattr(journal_mod, "commit_json", counting_commit)
+        registry = MetricsRegistry()
+        report = SweepSupervisor(
+            tmp_path, options=SweepOptions(workers=2), metrics=registry
+        ).start(plan)
+        assert report.counts["done"] == 4
+        assert (registry.value("sweep_results_adopted_total") or 0) == 0
+        assert registry.value("sweep_shards_done_total") == 4
+        assert registry.value("sweep_workers_spawned_total") == 4
+        # A lease and a completion per shard: 8 transitions, fewer commits
+        # (creation included).
+        journal_commits = commits.count(str(tmp_path / "journal.json"))
+        assert 0 < journal_commits < 2 * 4
+
+    def test_span_profile_splits_supervisor_time(self, tmp_path, plan):
+        from repro.observability import disable_profiling, enable_profiling
+
+        profiler = enable_profiling()
+        try:
+            _run(tmp_path, plan, workers=2)
+        finally:
+            disable_profiling()
+        paths = set(profiler.snapshot())
+        for child in ("wait", "spawn", "commit", "merge"):
+            assert f"sweep.run/sweep.{child}" in paths
