@@ -843,18 +843,37 @@ def _round_congestion(
     for group in groups.values():
         proto, st = trials[group[0]]
         coll = st.live_coll
-        actives = [trials[k][1].active for k in group]
-        vals = None
-        if coll is proto.collection or coll.n <= path_collection._PATCH_MAX_PATHS:
-            masks = np.zeros((len(actives), coll.n), dtype=bool)
-            for row, active in enumerate(actives):
-                masks[row, active] = True
-            vals = coll.subset_congestion_batch(masks)
-        if vals is None:
-            vals = [coll.subset(active).path_congestion for active in actives]
+        vals = _subset_congestion(
+            coll,
+            [trials[k][1].active for k in group],
+            oracle=coll is proto.collection
+            or coll.n <= path_collection._PATCH_MAX_PATHS,
+        )
         for k, val in zip(group, vals):
-            congestion[k] = int(val)
+            congestion[k] = val
     return congestion
+
+
+def _subset_congestion(
+    coll: PathCollection, actives: list[list[int]], oracle: bool = True
+) -> list[int]:
+    """``coll.subset(active).path_congestion`` for each of ``actives``.
+
+    With ``oracle`` set, one
+    :meth:`~repro.paths.collection.PathCollection.subset_congestion_batch`
+    call of one mask row per active list; without it, or past the share
+    matrix's size gate, one :meth:`~repro.paths.collection.PathCollection.subset`
+    per active list.
+    """
+    vals = None
+    if oracle:
+        masks = np.zeros((len(actives), coll.n), dtype=bool)
+        for row, active in enumerate(actives):
+            masks[row, active] = True
+        vals = coll.subset_congestion_batch(masks)
+    if vals is None:
+        vals = [coll.subset(active).path_congestion for active in actives]
+    return [int(val) for val in vals]
 
 
 def route_collection(

@@ -117,20 +117,43 @@ class Topology:
 
     # -- validation ----------------------------------------------------------
 
+    @cached_property
+    def _node_set(self) -> frozenset:
+        """The nodes, for membership tests."""
+        return frozenset(self._graph.nodes)
+
     def validate_path(self, path: Sequence[Hashable]) -> None:
         """Raise :class:`TopologyError` unless ``path`` walks real links.
 
         Paths must be non-empty node sequences whose consecutive pairs are
         edges of the graph. Repeated nodes are allowed here (walks); the
-        path-collection layer enforces simplicity where required.
+        path-collection layer enforces simplicity where required. The
+        first unknown node is reported before the first non-link step.
         """
         if len(path) == 0:
             raise TopologyError("empty path")
+        links = self.link_index
+        steps = zip(path, path[1:])
+        try:
+            # Every link's ends are nodes, so a walk over real links
+            # passes both checks below.
+            if len(path) > 1:
+                if all(map(links.__contains__, steps)):
+                    return
+            elif path[0] in self._node_set:
+                return
+        except TypeError:  # an unhashable node
+            pass
+        nodes = self._node_set
         for node in path:
-            if not self._graph.has_node(node):
+            try:
+                known = node in nodes
+            except TypeError:
+                known = False
+            if not known:
                 raise TopologyError(f"path node {node!r} is not in {self.name}")
         for a, b in zip(path, path[1:]):
-            if not self._graph.has_edge(a, b):
+            if (a, b) not in links:
                 raise TopologyError(
                     f"path step {a!r} -> {b!r} is not a link of {self.name}"
                 )

@@ -6,7 +6,8 @@ subpackage provides:
 
 * :class:`~repro.paths.collection.PathCollection` with the paper's three
   measures -- size ``n``, dilation ``D`` and path congestion ``C̃`` --
-  plus the conventional edge congestion;
+  plus the conventional edge congestion, and its mutable counterpart
+  :class:`~repro.paths.collection.LivePathSet` for open systems;
 * checkers for the two structural classes the theorems need:
   **leveled** and **short-cut free** collections
   (:mod:`repro.paths.properties`);
@@ -17,7 +18,7 @@ subpackage provides:
   (:mod:`repro.paths.gadgets`).
 """
 
-from repro.paths.collection import PathCollection
+from repro.paths.collection import LivePathSet, PathCollection
 from repro.paths.properties import (
     LevelingResult,
     compute_leveling,
@@ -55,6 +56,7 @@ from repro.paths.gadgets import (
 
 __all__ = [
     "PathCollection",
+    "LivePathSet",
     "LevelingResult",
     "compute_leveling",
     "is_leveled",

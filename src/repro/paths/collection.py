@@ -14,10 +14,15 @@ sequences). Its three performance measures (Section 1.1):
 directed link), included because the related work (Section 1.2) is stated
 in terms of it. Note collisions happen per *directed* link: opposite
 traversals of one fiber pair never contend.
+
+A :class:`LivePathSet` is the mutable counterpart the streaming engine
+keeps: paths enter and leave one at a time, and ``n``, ``D`` and ``C̃``
+are read off incrementally kept link and sharing indexes.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +31,7 @@ import numpy as np
 from repro.errors import PathError
 from repro.network.topology import Topology
 
-__all__ = ["PathCollection"]
+__all__ = ["PathCollection", "LivePathSet"]
 
 #: Largest collection for which the dense path-adjacency matrix is
 #: cached (4 * n**2 bytes reaches 16 MiB here; callers fall back to
@@ -314,6 +319,78 @@ class PathCollection:
             f"<PathCollection n={self.n} D={self.dilation} "
             f"C~={self.path_congestion} C_edge={self.edge_congestion}>"
         )
+
+
+class LivePathSet:
+    """A mutable multiset of paths keyed by uid, with live ``n``, ``D``, ``C̃``.
+
+    After every :meth:`add` and :meth:`remove`, :attr:`n`,
+    :attr:`dilation` and :attr:`path_congestion` equal those of
+    ``PathCollection(live paths, topology, require_simple=False)`` (all
+    0 while the set is empty). The set keeps directed link -> member
+    uids and uid -> the uids sharing a link with it (itself included;
+    identical paths under two uids share), so a change costs O(its
+    links x their members) instead of a rebuild. :meth:`add` runs that
+    constructor's checks on the one path it adds, with the same
+    exception types and messages (the uid stands for the path index).
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        self._paths: dict[int, tuple] = {}
+        # A link keeps its member set once used, even when it empties:
+        # dropping and recreating sets costs more per change than the at
+        # most one set per directed link of the network this holds.
+        self._members: defaultdict[tuple, set[int]] = defaultdict(set)
+        self._sharing: dict[int, set[int]] = {}
+
+    def add(self, uid: int, path: Sequence) -> None:
+        """Validate ``path`` and make it live under ``uid``."""
+        if uid in self._paths:
+            raise PathError(f"path {uid} is already live")
+        path = tuple(path)
+        _check_paths([(uid, path)], require_simple=False)
+        self.topology.validate_path(path)
+        sharing = {uid}
+        members = self._members
+        for link in zip(path, path[1:]):
+            users = members[link]
+            sharing |= users
+            users.add(uid)
+        shares = self._sharing
+        shares[uid] = sharing
+        for other in sharing:
+            shares[other].add(uid)
+        self._paths[uid] = path
+
+    def remove(self, uid: int) -> None:
+        """Drop the live path ``uid``."""
+        path = self._paths.pop(uid, None)
+        if path is None:
+            raise PathError(f"path {uid} is not live")
+        members = self._members
+        for link in zip(path, path[1:]):
+            members[link].discard(uid)
+        shares = self._sharing
+        sharing = shares.pop(uid)
+        sharing.discard(uid)
+        for other in sharing:
+            shares[other].discard(uid)
+
+    @property
+    def n(self) -> int:
+        """Number of live paths."""
+        return len(self._paths)
+
+    @property
+    def dilation(self) -> int:
+        """``D``: links of the longest live path (0 when empty)."""
+        return max(map(len, self._paths.values()), default=1) - 1
+
+    @property
+    def path_congestion(self) -> int:
+        """``C̃``: the largest live sharing set (0 when empty)."""
+        return max(map(len, self._sharing.values()), default=0)
 
 
 def _check_paths(numbered: Iterable[tuple[int, tuple]], require_simple: bool) -> None:

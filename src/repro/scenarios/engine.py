@@ -33,14 +33,14 @@ from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 from repro._util import as_generator, spawn_generator
 from repro.core.engine import RoutingEngine
-from repro.core.protocol import ProtocolConfig, _draw_launches
+from repro.core.protocol import ProtocolConfig, _draw_launches, _subset_congestion
 from repro.core.schedule import ScheduleContext
 from repro.errors import ScenarioError
 from repro.faults.health import StallDetector
 from repro.network.topology import Topology
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
-from repro.paths.collection import PathCollection
+from repro.paths.collection import LivePathSet, PathCollection
 from repro.scenarios.arrivals import ArrivalProcess
 from repro.scenarios.traffic import TrafficPattern
 from repro.worms.worm import Worm, make_worms
@@ -438,15 +438,6 @@ class StreamingEngine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _active_collection(self, live_paths: dict[int, tuple], active: list[int]):
-        """Collection over the currently active paths (streaming mode)."""
-        assert self.network is not None
-        return PathCollection(
-            [live_paths[uid] for uid in active],
-            topology=self.network.topology,
-            require_simple=False,
-        )
-
     def _build_engine(self, worms: list[Worm]) -> RoutingEngine:
         proto = self.config.protocol
         return RoutingEngine(
@@ -493,7 +484,7 @@ class StreamingEngine:
 
         engine: RoutingEngine | None = None
         active: list[int] = []
-        live_paths: dict[int, tuple] = {}
+        live: LivePathSet | None = None
         delivered_round: dict[int, int] = {}
         admitted_round: dict[int, int] = {}
         latencies: list[int] = []
@@ -520,6 +511,7 @@ class StreamingEngine:
         )
 
         if streaming:
+            live = LivePathSet(self.network.topology)
             arr_rng = spawn_generator(rng)
             arr_stream = cfg.arrivals.start()
             traffic_stream = cfg.traffic.start(self.network.nodes)
@@ -529,7 +521,6 @@ class StreamingEngine:
             worms = make_worms(self.collection.paths, proto.worm_length)
             engine = self._build_engine(worms)
             active = [w.uid for w in worms]
-            live_paths = {w.uid: w.path for w in worms}
             admitted_round = {uid: 1 for uid in active}
             offered = admitted = len(active)
             next_uid = len(active)
@@ -564,7 +555,7 @@ class StreamingEngine:
                             stale_set = set(stale)
                             active = [u for u in active if u not in stale_set]
                             for uid in stale:
-                                del live_paths[uid]
+                                live.remove(uid)
                             round_expired = len(stale)
                             expired += round_expired
                             if observe:
@@ -591,10 +582,12 @@ class StreamingEngine:
                         new_worms = []
                         for src, dst in traffic_stream.pairs(admit, arr_rng):
                             path = tuple(self.network.path_fn(src, dst))
+                            # Validates the path, before the engine sees
+                            # any worm of this admission.
+                            live.add(next_uid, path)
                             new_worms.append(
                                 Worm(uid=next_uid, path=path, length=proto.worm_length)
                             )
-                            live_paths[next_uid] = path
                             admitted_round[next_uid] = t
                             active.append(next_uid)
                             next_uid += 1
@@ -609,15 +602,15 @@ class StreamingEngine:
                         # Re-anchor the schedule envelope on the enlarged
                         # system (congestion/dilation can only be refreshed
                         # when membership changes).
-                        coll = self._active_collection(live_paths, active)
+                        dilation = live.dilation
                         base_ctx = ScheduleContext(
-                            n=coll.n,
+                            n=live.n,
                             bandwidth=proto.bandwidth,
                             worm_length=proto.worm_length,
-                            dilation=coll.dilation,
-                            congestion=coll.path_congestion,
+                            dilation=dilation,
+                            congestion=live.path_congestion,
                         )
-                        dl = coll.dilation + proto.worm_length
+                        dl = dilation + proto.worm_length
 
             if not active:
                 # Idle round: nothing to launch, so no generator is
@@ -661,13 +654,11 @@ class StreamingEngine:
                 current_congestion = None
                 if proto.track_congestion:
                     if streaming:
-                        current_congestion = self._active_collection(
-                            live_paths, active
-                        ).path_congestion
+                        current_congestion = live.path_congestion
                     else:
-                        current_congestion = self.collection.subset(
-                            active
-                        ).path_congestion
+                        (current_congestion,) = _subset_congestion(
+                            self.collection, [active]
+                        )
                 ctx = dataclasses.replace(
                     base_ctx, current_congestion=current_congestion
                 )
@@ -708,7 +699,7 @@ class StreamingEngine:
                         with prof.span("scenario.retire"):
                             engine.retire_worms(sorted(acked))
                             for uid in acked:
-                                del live_paths[uid]
+                                live.remove(uid)
 
                 duration = delta + 2 * dl
                 total_time += duration

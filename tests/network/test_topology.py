@@ -113,6 +113,29 @@ class TestValidation:
         with pytest.raises(TopologyError):
             Topology(g).validate_path([0, 2])
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ([], "empty path"),
+            ([0, 9], "path node 9 is not in line"),
+            ([9], "path node 9 is not in line"),
+            ([0, [1]], "path node [1] is not in line"),
+            ([[0]], "path node [0] is not in line"),
+            ([0, 2], "path step 0 -> 2 is not a link of line"),
+            ([0, 1, 3], "path step 1 -> 3 is not a link of line"),
+            # The first unknown node is named before any non-link step.
+            ([0, 2, 9], "path node 9 is not in line"),
+        ],
+    )
+    def test_rejection_messages(self, path, message):
+        with pytest.raises(TopologyError) as info:
+            Topology(nx.path_graph(4), name="line").validate_path(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("path", [[2], (0, 1, 0), [3, 2, 1]])
+    def test_single_nodes_and_walks_pass(self, path):
+        Topology(nx.path_graph(4), name="line").validate_path(path)
+
     def test_validate_paths_iterates(self):
         with pytest.raises(TopologyError):
             triangle().validate_paths([["a", "b"], ["a", "z"]])

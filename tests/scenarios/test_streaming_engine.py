@@ -1,13 +1,15 @@
 """Streaming engine: drain-mode equivalence, determinism, admission control."""
 
 import dataclasses
+import itertools
+import re
 
 import pytest
 
 from repro._util import as_generator, spawn_generator
-from repro.core.engine import set_default_backend
+from repro.core.engine import RoutingEngine, set_default_backend
 from repro.core.protocol import ProtocolConfig, TrialAndFailureProtocol
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, TopologyError
 from repro.faults.models import TransientLinkFaults
 from repro.observability.metrics import MetricsRegistry
 from repro.paths.collection import PathCollection
@@ -15,6 +17,7 @@ from repro.scenarios import (
     PoissonArrivals,
     StreamingConfig,
     StreamingEngine,
+    StreamingNetwork,
     StreamingResult,
     UniformTraffic,
     build_network,
@@ -255,6 +258,49 @@ class TestValidation:
             _streaming_config(
                 protocol=ProtocolConfig(bandwidth=4, repair="reroute")
             )
+
+    def test_bad_route_fails_before_the_engine_sees_its_admission(
+        self, monkeypatch
+    ):
+        net = build_network({"kind": "mesh", "side": 4})
+        config = _streaming_config(rounds=30)
+        clean = StreamingEngine(config, network=net).run(as_generator(5))
+        # The first uid of every admission, in admission order.
+        ends = list(itertools.accumulate(r.admitted for r in clean.records))
+        starts = [end - r.admitted for end, r in zip(ends, clean.records)]
+        first = next(
+            start
+            for start, r in zip(starts, clean.records)
+            if start > 0 and r.admitted >= 2
+        )
+        calls = []
+
+        def path_fn(src, dst):
+            calls.append((src, dst))
+            if len(calls) == first + 2:  # the admission's second worm
+                return ((0, 0), (1, 1))
+            return net.path_fn(src, dst)
+
+        registered = []
+        init, add = RoutingEngine.__init__, RoutingEngine.add_worms
+
+        def spy_init(engine, worms, *args, **kwargs):
+            registered.extend(w.uid for w in worms)
+            init(engine, worms, *args, **kwargs)
+
+        def spy_add(engine, worms):
+            registered.extend(w.uid for w in worms)
+            add(engine, worms)
+
+        monkeypatch.setattr(RoutingEngine, "__init__", spy_init)
+        monkeypatch.setattr(RoutingEngine, "add_worms", spy_add)
+        bad = StreamingNetwork(net.topology, path_fn)
+        with pytest.raises(
+            TopologyError,
+            match=re.escape("path step (0, 0) -> (1, 1) is not a link"),
+        ):
+            StreamingEngine(config, network=bad).run(as_generator(5))
+        assert registered == list(range(first))
 
     @pytest.mark.parametrize(
         "kwargs",
