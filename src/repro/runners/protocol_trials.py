@@ -41,6 +41,7 @@ __all__ = [
     "instrumented_protocol_trial",
     "instrumented_protocol_trial_batch",
     "fault_label",
+    "protocol_dispatch",
     "route_collection_trials",
 ]
 
@@ -65,6 +66,7 @@ def _record_trial_batch(
     *,
     collection: PathCollection,
     config: ProtocolConfig,
+    backend: str,
     trial_fn,
     trials: int,
     seed,
@@ -74,9 +76,6 @@ def _record_trial_batch(
     metrics: MetricsRegistry | None,
 ) -> str:
     """One ledger row for a completed trial batch; returns the run id."""
-    from repro.core.engine import get_default_backend
-
-    backend = config.backend or get_default_backend()
     labels = {
         "workload": repr(collection),
         "backend": backend,
@@ -169,6 +168,37 @@ def instrumented_protocol_trial_batch(
     return [(r, m.snapshot()) for r, m in zip(results, registries)]
 
 
+def protocol_dispatch(
+    collection: PathCollection,
+    config: ProtocolConfig,
+    *,
+    trials: int,
+    jobs: int = 1,
+    instrumented: bool = False,
+) -> tuple[str, Callable, int | None]:
+    """How protocol trials of ``config`` run: ``(backend, trial_fn, batch_size)``.
+
+    The one place the effective backend (``config.backend``, else the
+    process default) is resolved and turned into a
+    :class:`~repro.runners.trial.TrialRunner` trial function and slice
+    width. ``"batched"`` gives each of ``jobs`` workers one contiguous
+    lockstep slice through :func:`protocol_trial_batch`; every other
+    backend runs :func:`protocol_trial` one seed per unit
+    (``batch_size=None``). ``instrumented`` picks the variants that
+    return a private metrics snapshot with each result.
+    """
+    from repro.core.engine import get_default_backend
+
+    backend = config.backend or get_default_backend()
+    if backend == "batched":
+        fn = instrumented_protocol_trial_batch if instrumented else protocol_trial_batch
+        batch_size = max(1, math.ceil(trials / max(1, jobs)))
+    else:
+        fn = instrumented_protocol_trial if instrumented else protocol_trial
+        batch_size = None
+    return backend, partial(fn, collection=collection, config=config), batch_size
+
+
 def route_collection_trials(
     collection: PathCollection,
     bandwidth: int,
@@ -197,11 +227,12 @@ def route_collection_trials(
     kernel (``"python"``, ``"vectorized"`` or ``"batched"``,
     bit-identical results; None = process default); it travels inside
     the pickled config, so it applies in worker processes too. The
-    ``"batched"`` backend additionally switches the runner to batch
-    dispatch: each worker takes a contiguous slice of seeds and runs
-    them in lockstep through
-    :func:`repro.core.protocol.run_protocol_batch`, amortising the sort
-    kernel across the slice while staying bit-identical per trial.
+    runner has one dispatch path, and :func:`protocol_dispatch` decides
+    only the slice width: ``"batched"`` gives each worker one
+    contiguous slice of seeds, run in lockstep through
+    :func:`repro.core.protocol.run_protocol_batch` (amortising the sort
+    kernel across the slice while staying bit-identical per trial);
+    every other backend runs width-1 slices, one trial each.
 
     When ``metrics`` is given, every trial runs instrumented against its
     own private registry (in the worker process for ``jobs > 1``) and the
@@ -225,29 +256,13 @@ def route_collection_trials(
         backend=backend,
         **config_kwargs,
     )
-    from repro.core.engine import get_default_backend
-
-    batched = (config.backend or get_default_backend()) == "batched"
-    if batched:
-        trial_fn = (
-            partial(protocol_trial_batch, collection=collection, config=config)
-            if metrics is None
-            else partial(
-                instrumented_protocol_trial_batch,
-                collection=collection,
-                config=config,
-            )
-        )
-        batch_size = max(1, math.ceil(trials / max(1, jobs)))
-    else:
-        trial_fn = (
-            partial(protocol_trial, collection=collection, config=config)
-            if metrics is None
-            else partial(
-                instrumented_protocol_trial, collection=collection, config=config
-            )
-        )
-        batch_size = None
+    backend, trial_fn, batch_size = protocol_dispatch(
+        collection,
+        config,
+        trials=trials,
+        jobs=jobs,
+        instrumented=metrics is not None,
+    )
     runner = TrialRunner(
         trial_fn,
         jobs=jobs,
@@ -273,6 +288,7 @@ def route_collection_trials(
             ledger,
             collection=collection,
             config=config,
+            backend=backend,
             trial_fn=trial_fn,
             trials=trials,
             seed=seed,

@@ -1,9 +1,8 @@
 """Parallel, batched execution of independent Monte-Carlo trials.
 
-Every "w.h.p." statement in the reproduction becomes replicated trials,
-and until now every one of them ran strictly serially through the pure
-Python round loop. :class:`TrialRunner` executes many independent trials
-across a :class:`concurrent.futures.ProcessPoolExecutor` while keeping
+Every "w.h.p." statement in the reproduction becomes replicated trials.
+:class:`TrialRunner` executes many independent trials, in-process or
+across a :class:`concurrent.futures.ProcessPoolExecutor`, while keeping
 the *numbers* untouchable:
 
 * each trial is seeded with its own child seed from :func:`spawn_seeds`
@@ -12,7 +11,11 @@ the *numbers* untouchable:
   which order trials finished;
 * results are returned in trial order, making ``jobs=N`` bit-identical
   to serial execution for the same root seed;
-* per-trial ``timeout`` and ``retries`` bound a stuck or flaky trial
+* the unit of work is a contiguous slice of seeds. A trial function
+  taking one seed (``batch_size=None``) runs as width-1 slices; a batch
+  trial function taking a seed list runs as slices of up to
+  ``batch_size`` seeds. One serial and one pool dispatcher serve both;
+* per-unit ``timeout`` and ``retries`` bound a stuck or flaky unit
   (a timed-out attempt is abandoned and resubmitted; the abandoned
   worker finishes in the background);
 * a structured :class:`TrialProgress` callback reports completions as
@@ -21,13 +24,13 @@ the *numbers* untouchable:
 The trial callable must be picklable for ``jobs > 1`` (a module-level
 function, or :func:`functools.partial` over one). Unpicklable callables
 -- the closures older experiment code builds -- transparently fall back
-to serial execution with a logged warning (logger
+to in-process execution with a logged warning (logger
 ``repro.runners.trial``), so ``--jobs`` is always safe to pass.
 
 Two robustness layers on top:
 
-* ``checkpoint=PATH`` makes batches crash-safe: every settled trial's
-  result is appended to an atomically rewritten JSON file, and a rerun
+* ``checkpoint=PATH`` makes batches crash-safe: every settled unit's
+  results are appended to an atomically rewritten JSON file, and a rerun
   of the same seed batch skips the already-completed indices -- the
   resumed batch returns bit-identical results because each trial
   depends only on its own seed. A checkpoint written for a *different*
@@ -36,11 +39,11 @@ Two robustness layers on top:
   than silently mixing non-comparable results.
 * a :class:`~concurrent.futures.process.BrokenProcessPool` (a worker
   killed by the OOM killer, a segfaulting extension, ...) no longer
-  abandons the batch: the pool is rebuilt and every unsettled trial is
+  abandons the batch: the pool is rebuilt and every unsettled unit is
   resubmitted (counted as an attempt), up to a separate rebuild cap so
   ``retries=0`` batches still survive worker crashes.
 
-Batch mechanics (trial counts, per-trial latency, retries, timeouts,
+Batch mechanics (trial counts, per-unit latency, retries, timeouts,
 pool occupancy, pool rebuilds, checkpoint traffic) are instrumented
 through :mod:`repro.observability.metrics`; pass ``metrics=`` or enable
 the process default registry to collect them.
@@ -132,15 +135,15 @@ _POOL_REBUILD_LIMIT = 3
 #: Sentinel distinguishing "not settled yet" from a legal None result.
 _UNSET = object()
 
-#: Per-worker shared state: the unpickled trial callable. Populated once
+#: Per-worker shared state: the unpickled unit callable. Populated once
 #: per worker process by :func:`_worker_init`; every subsequent submit
-#: ships only a seed instead of re-pickling the whole closure (worms,
-#: topology, engine config) on each trial.
+#: ships only a seed slice instead of re-pickling the whole closure
+#: (worms, topology, engine config) on each unit.
 _WORKER_FN: Callable | None = None
 
 
 def _worker_init(payload: bytes, default_backend: str) -> None:
-    """Pool initializer: unpickle the trial function once per worker.
+    """Pool initializer: unpickle the unit function once per worker.
 
     Also propagates the parent's default engine backend, so a driver's
     single ``set_default_backend("vectorized")`` call covers the whole
@@ -154,16 +157,26 @@ def _worker_init(payload: bytes, default_backend: str) -> None:
     set_default_backend(default_backend)
 
 
-def _worker_run(seed: int):
-    """Invoke the worker's shared trial function on one seed."""
-    assert _WORKER_FN is not None, "worker pool initializer did not run"
-    return _WORKER_FN(seed)
-
-
-def _worker_run_batch(seeds: list[int]):
-    """Invoke the worker's shared *batch* trial function on a seed slice."""
+def _worker_unit(seeds: list[int]):
+    """Invoke the worker's shared unit function on a seed slice."""
     assert _WORKER_FN is not None, "worker pool initializer did not run"
     return _WORKER_FN(seeds)
+
+
+def _each_seed(fn: Callable, seeds: Sequence[int]) -> list:
+    """Run a one-seed trial function over a seed slice, seed by seed.
+
+    Bound with :func:`functools.partial` this turns a per-seed ``fn``
+    into a unit function, picklable whenever ``fn`` is.
+    """
+    return [fn(seed) for seed in seeds]
+
+
+def _unit_label(unit: Sequence[int], seeds: Sequence[int]) -> str:
+    """How a failure names its unit: one trial, or a slice of trials."""
+    if len(unit) == 1:
+        return f"trial {unit[0]} (seed {seeds[unit[0]]})"
+    return f"trial unit {unit[0]}..{unit[-1]} ({len(unit)} seed(s))"
 
 
 def _batch_results(out, unit: Sequence[int]) -> list:
@@ -190,7 +203,7 @@ class _Checkpoint:
     The file is a single JSON object ``{"version", "fingerprint",
     "context", "completed": {index: base64(pickle(result))}}`` rewritten
     atomically (temp file + :func:`os.replace`) after every settled
-    trial, so a kill at any instant leaves either the previous or the
+    unit, so a kill at any instant leaves either the previous or the
     next consistent state -- never a torn file. The fingerprint hashes
     the seed list and the context digest hashes the trial function's
     description plus the active engine backend, together binding the
@@ -246,26 +259,18 @@ class _Checkpoint:
         }
         return dict(self.completed)
 
-    def record(self, index: int, result) -> None:
-        """Persist one settled trial (atomic, fsynced full rewrite).
+    def record(self, indices: Sequence[int], results: Sequence) -> None:
+        """Persist one settled unit in a single atomic, fsynced rewrite.
 
+        The file contents depend only on the completed-trials map, so a
+        run's final checkpoint is byte-identical for any slice width
+        or ``jobs`` -- a wider unit just amortises the rewrite.
         Durability matters as much as atomicity here: the sweep layer's
         whole resume story assumes a checkpoint visible on disk really
         holds its trials, so the temp file and its directory entry are
         both fsynced before the ``os.replace`` -- a ``kill -9`` (or
         power cut) at any instant leaves either the previous or the next
         valid JSON, never a torn file.
-        """
-        self.completed[index] = result
-        self._flush()
-
-    def record_many(self, indices: Sequence[int], results: Sequence) -> None:
-        """Persist one settled batch unit in a single atomic rewrite.
-
-        The file contents depend only on the completed-trials map, so a
-        batch-dispatched run's final checkpoint is byte-identical to the
-        per-trial :meth:`record` sequence over the same results -- the
-        unit just amortises the fsynced rewrite.
         """
         for i, r in zip(indices, results):
             self.completed[i] = r
@@ -314,13 +319,93 @@ class TrialProgress:
     error: str | None = None
 
 
+class _Batch:
+    """The bookkeeping of one :meth:`TrialRunner.run_seeds` dispatch.
+
+    Result slots (checkpointed trials prefilled), the settle counter,
+    the journal and the progress stream: the serial and the pool
+    dispatcher share this one settle, failure and finish path.
+    """
+
+    def __init__(
+        self,
+        progress: Callable[[TrialProgress], None] | None,
+        seeds: list[int],
+        units: list[list[int]],
+        metrics: MetricsRegistry,
+        ckpt: _Checkpoint | None,
+        preloaded: dict[int, object],
+        mode: str,
+    ) -> None:
+        self.progress = progress
+        self.seeds = seeds
+        self.units = units
+        self.metrics = metrics
+        self.ckpt = ckpt
+        self.mode = mode
+        self.results: list = [_UNSET] * len(seeds)
+        for i, r in preloaded.items():
+            self.results[i] = r
+        self.done = len(preloaded)
+        self.executed = 0
+        self.t0 = time.perf_counter()
+
+    def report(self, index: int, attempts: int, error: str | None = None) -> None:
+        if self.progress is not None:
+            self.progress(
+                TrialProgress(
+                    index=index,
+                    seed=self.seeds[index],
+                    attempts=attempts,
+                    done=self.done,
+                    total=len(self.seeds),
+                    elapsed=time.perf_counter() - self.t0,
+                    error=error,
+                )
+            )
+
+    def settle(self, unit: list[int], out, attempts: int) -> None:
+        """Merge, journal and report one unit's results."""
+        out = _batch_results(out, unit)
+        self.executed += len(unit)
+        for i, r in zip(unit, out):
+            self.results[i] = r
+        if self.ckpt is not None:
+            self.ckpt.record(unit, out)
+            self.metrics.inc("runner_checkpoint_writes_total")
+        for i in unit:
+            self.done += 1
+            self.report(i, attempts)
+
+    def failure(
+        self, unit: list[int], attempts: int, exc: BaseException, timed_out: bool
+    ) -> TrialError:
+        """Count and report a unit out of attempts; the error to raise."""
+        self.metrics.inc("runner_trials_failed_total", mode=self.mode)
+        self.report(unit[0], attempts, error=repr(exc) if timed_out else str(exc))
+        label = _unit_label(unit, self.seeds)
+        if timed_out:
+            return TrialError(f"{label} timed out after {attempts} attempt(s)")
+        return TrialError(f"{label} failed after {attempts} attempt(s): {exc}")
+
+    def finish(self) -> list:
+        self.metrics.inc("runner_trials_total", self.executed, mode=self.mode)
+        if self.metrics.enabled:
+            self.metrics.observe(
+                "runner_batch_seconds",
+                time.perf_counter() - self.t0,
+                mode=self.mode,
+            )
+        return self.results
+
+
 class TrialRunner:
-    """Run ``fn(seed)`` over many independent seeds, optionally in parallel.
+    """Run a trial function over many independent seeds, optionally in parallel.
 
     ``jobs`` is the worker-process count (1 = in-process serial);
-    ``timeout`` bounds one attempt of one trial in seconds (enforced only
-    when ``jobs > 1``: a single process cannot preempt its own trial);
-    ``retries`` is how many *extra* attempts a failed or timed-out trial
+    ``timeout`` bounds one attempt of one unit in seconds (enforced only
+    when ``jobs > 1``: a single process cannot preempt its own unit);
+    ``retries`` is how many *extra* attempts a failed or timed-out unit
     gets before :class:`TrialError` is raised; ``progress`` is called
     with a :class:`TrialProgress` after every trial settles; ``metrics``
     optionally names the registry receiving batch instrumentation (None
@@ -333,16 +418,19 @@ class TrialRunner:
     from per-trial ``retries`` and folded into the checkpoint context,
     so a resumed batch must use the same cap.
 
-    ``batch_size`` switches the runner into *batch dispatch*: ``fn``
-    then takes a **list of seeds** and returns one result per seed (in
-    seed order), and the unit of work -- submitted, timed out, retried
-    and checkpointed as one -- becomes a slice of up to ``batch_size``
-    outstanding trials instead of a single seed. This is how the
-    batched engine backend amortises its per-round array passes across
-    a worker's whole seed slice. Results, order, and checkpoint bytes
-    are required to be independent of the slice boundaries (each trial
-    still depends only on its own seed); per-trial progress reports are
-    preserved (one per trial, emitted when its unit settles).
+    The unit of work -- submitted, timed out, retried and checkpointed
+    as one -- is a contiguous slice of outstanding seeds. With
+    ``batch_size=None`` (the default) ``fn`` takes **one seed** and
+    returns its result; the runner calls it through a picklable adapter
+    over width-1 slices, so timeout, retry and progress stay per trial.
+    With ``batch_size=k`` ``fn`` takes a **list of seeds** and returns
+    one result per seed (in seed order), over slices of up to ``k``
+    seeds. This is how the batched engine backend amortises its
+    per-round array passes across a worker's whole seed slice. Results,
+    order, and checkpoint bytes are independent of the slice boundaries
+    (each trial still depends only on its own seed); per-trial progress
+    reports are preserved (one per trial, emitted when its unit
+    settles).
     """
 
     def __init__(
@@ -401,6 +489,9 @@ class TrialRunner:
         if self.checkpoint is not None:
             from repro.core.engine import get_default_backend
 
+            # The context describes the caller's fn, never the per-seed
+            # adapter; the slice width stays out of it on purpose (the
+            # bytes do not depend on it, and a resume may re-slice).
             context = (
                 f"fn={_describe_trial_fn(self.fn)} "
                 f"backend={get_default_backend()} "
@@ -423,35 +514,20 @@ class TrialRunner:
                     len(seeds),
                 )
                 metrics.inc("runner_checkpoint_loaded_total", len(preloaded))
-        if self.batch_size is not None:
-            # Batch dispatch: slice boundaries never change results or
-            # checkpoint bytes, so batch_size stays out of the
-            # checkpoint context on purpose (a resume may re-slice).
-            if (
-                self.jobs == 1
-                or len(seeds) - len(preloaded) <= self.batch_size
-            ):
-                return self._run_serial_batched(seeds, metrics, ckpt, preloaded)
-            if not self._picklable():
-                _log.warning(
-                    "batch trial function %r is not picklable; running "
-                    "%d trial(s) in-process although jobs=%d were "
-                    "requested (define it at module level, or wrap "
-                    "module-level functions with functools.partial, to "
-                    "parallelize)",
-                    self.fn,
-                    len(seeds),
-                    self.jobs,
-                )
-                metrics.inc("runner_serial_fallbacks_total")
-                return self._run_serial_batched(seeds, metrics, ckpt, preloaded)
-            return self._run_pool_batched(seeds, metrics, ckpt, preloaded)
-        if self.jobs == 1 or len(seeds) - len(preloaded) <= 1:
-            return self._run_serial(seeds, metrics, ckpt, preloaded)
-        if not self._picklable():
+        if self.batch_size is None:
+            unit_fn, width = functools.partial(_each_seed, self.fn), 1
+        else:
+            unit_fn, width = self.fn, self.batch_size
+        # Units are contiguous slices of the *remaining* indices (a
+        # resume re-slices around checkpointed holes).
+        todo = [i for i in range(len(seeds)) if i not in preloaded]
+        units = [todo[k:k + width] for k in range(0, len(todo), width)]
+        parallel = self.jobs > 1 and len(units) > 1
+        if parallel and not self._picklable():
+            parallel = False
             _log.warning(
                 "trial function %r is not picklable; running %d trial(s) "
-                "serially although jobs=%d were requested (define it at "
+                "in-process although jobs=%d were requested (define it at "
                 "module level, or wrap module-level functions with "
                 "functools.partial, to parallelize)",
                 self.fn,
@@ -459,8 +535,13 @@ class TrialRunner:
                 self.jobs,
             )
             metrics.inc("runner_serial_fallbacks_total")
-            return self._run_serial(seeds, metrics, ckpt, preloaded)
-        return self._run_pool(seeds, metrics, ckpt, preloaded)
+        batch = _Batch(
+            self.progress, seeds, units, metrics, ckpt, preloaded,
+            "pool" if parallel else "serial",
+        )
+        if parallel:
+            return self._dispatch_pool(unit_fn, batch)
+        return self._dispatch_serial(unit_fn, batch)
 
     # -- internals -----------------------------------------------------------
 
@@ -471,117 +552,58 @@ class TrialRunner:
         except Exception:
             return False
 
-    def _report(
-        self, index, seed, attempts, done, total, t0, error=None
-    ) -> None:
-        if self.progress is not None:
-            self.progress(
-                TrialProgress(
-                    index=index,
-                    seed=seed,
-                    attempts=attempts,
-                    done=done,
-                    total=total,
-                    elapsed=time.perf_counter() - t0,
-                    error=error,
-                )
-            )
-
-    def _run_serial(
-        self,
-        seeds: list[int],
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None = None,
-        preloaded: dict[int, object] | None = None,
-    ) -> list:
-        preloaded = preloaded or {}
+    def _dispatch_serial(self, unit_fn: Callable, batch: _Batch) -> list:
+        metrics = batch.metrics
         if self.timeout is not None:
-            # A single process cannot preempt its own trial, so a
+            # A single process cannot preempt its own unit, so a
             # configured timeout silently stops protecting the batch the
-            # moment it runs serially (jobs=1, a tiny remainder, or the
+            # moment it runs in-process (jobs=1, a tiny remainder, or the
             # unpicklable-fn fallback). Say so instead of letting a stuck
             # trial hang a "timeout-bounded" sweep without explanation.
             _log.warning(
                 "timeout=%ss is configured but this batch of %d trial(s) "
-                "runs serially, where per-trial timeouts cannot be "
-                "enforced; a stuck trial will hang the batch (use jobs>1 "
-                "for preemptible trials)",
+                "runs in-process, where timeouts cannot be enforced; a "
+                "stuck trial will hang the batch (use jobs>1 for "
+                "preemptible trials)",
                 self.timeout,
-                len(seeds) - len(preloaded),
+                sum(map(len, batch.units)),
             )
             metrics.inc("runner_timeout_unenforced_total")
-        t0 = time.perf_counter()
         observe = metrics.enabled
         prof = get_profiler()
-        results = []
-        executed = 0
-        done = len(preloaded)
-        for i, seed in enumerate(seeds):
-            if i in preloaded:
-                results.append(preloaded[i])
-                continue
+        for unit in batch.units:
+            unit_seeds = [batch.seeds[i] for i in unit]
             attempts = 0
             while True:
                 attempts += 1
                 try:
-                    t_trial = time.perf_counter() if observe else 0.0
-                    with prof.span("runner.trial"):
-                        results.append(self.fn(seed))
-                    executed += 1
+                    t_unit = time.perf_counter() if observe else 0.0
+                    with prof.span("runner.unit"):
+                        out = unit_fn(unit_seeds)
                     if observe:
                         metrics.observe(
-                            "runner_trial_seconds",
-                            time.perf_counter() - t_trial,
+                            "runner_unit_seconds",
+                            time.perf_counter() - t_unit,
                             mode="serial",
                         )
                     break
                 except Exception as exc:
                     if attempts > self.retries:
-                        metrics.inc("runner_trials_failed_total", mode="serial")
-                        self._report(
-                            i, seed, attempts, done, len(seeds), t0,
-                            error=str(exc),
-                        )
-                        raise TrialError(
-                            f"trial {i} (seed {seed}) failed after "
-                            f"{attempts} attempt(s): {exc}"
-                        ) from exc
+                        raise batch.failure(unit, attempts, exc, False) from exc
                     metrics.inc("runner_retries_total", mode="serial")
-            if ckpt is not None:
-                ckpt.record(i, results[-1])
-                metrics.inc("runner_checkpoint_writes_total")
-            done += 1
-            self._report(i, seed, attempts, done, len(seeds), t0)
-        metrics.inc("runner_trials_total", executed, mode="serial")
-        if observe:
-            metrics.observe(
-                "runner_batch_seconds", time.perf_counter() - t0, mode="serial"
-            )
-        return results
+            batch.settle(unit, out, attempts)
+        return batch.finish()
 
-    def _run_pool(
-        self,
-        seeds: list[int],
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None = None,
-        preloaded: dict[int, object] | None = None,
-    ) -> list:
-        preloaded = preloaded or {}
-        t0 = time.perf_counter()
-        total = len(seeds)
-        results: list = [_UNSET] * total
-        for i, r in preloaded.items():
-            results[i] = r
-        done = len(preloaded)
-        executed = 0
+    def _dispatch_pool(self, unit_fn: Callable, batch: _Batch) -> list:
+        metrics, seeds, units = batch.metrics, batch.seeds, batch.units
         rebuilds = 0
         metrics.gauge("runner_pool_jobs", self.jobs)
-        # The trial function crosses the process boundary exactly once
+        # The unit function crosses the process boundary exactly once
         # per worker (pool initializer), not once per submit: each
-        # submit afterwards carries only the seed.
+        # submit afterwards carries only its seed slice.
         from repro.core.engine import get_default_backend
 
-        initargs = (pickle.dumps(self.fn), get_default_backend())
+        initargs = (pickle.dumps(unit_fn), get_default_backend())
 
         def make_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
@@ -590,256 +612,15 @@ class TrialRunner:
                 initargs=initargs,
             )
 
-        pool = make_pool()
-
-        def submit_all() -> dict:
-            return {
-                i: _submit(pool, _worker_run, seed)
-                for i, seed in enumerate(seeds)
-                if i not in preloaded
-            }
+        def submit(ui: int) -> Future:
+            return _submit(pool, _worker_unit, [seeds[i] for i in units[ui]])
 
         def rebuild_pool(exc: BaseException) -> None:
             # A worker died hard (OOM kill, segfault): the pool is
             # unusable and *every* unsettled future is lost, not just the
             # one we were waiting on. Rebuild and resubmit them all,
             # counting one attempt each -- capped separately from
-            # per-trial retries so retries=0 batches survive.
-            nonlocal pool, rebuilds
-            rebuilds += 1
-            metrics.inc("runner_pool_rebuilds_total")
-            if rebuilds > self.pool_rebuilds:
-                raise TrialError(
-                    f"worker pool broke {rebuilds} times (limit "
-                    f"{self.pool_rebuilds}); giving up on the batch"
-                ) from exc
-            pending = [j for j in futures if results[j] is _UNSET]
-            _log.warning(
-                "worker pool broke (%r); rebuilding (%d/%d) and "
-                "resubmitting %d unsettled trial(s)",
-                exc,
-                rebuilds,
-                self.pool_rebuilds,
-                len(pending),
-            )
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = make_pool()
-            for j in pending:
-                attempts[j] += 1
-                futures[j] = _submit(pool, _worker_run, seeds[j])
-
-        try:
-            futures = submit_all()
-            attempts = {i: 1 for i in futures}
-            # Settle trials in index order: per-trial timeouts compose and
-            # the progress stream matches the (deterministic) result order.
-            for i, seed in enumerate(seeds):
-                if i not in futures:
-                    continue
-                while True:
-                    try:
-                        results[i] = futures[i].result(timeout=self.timeout)
-                        executed += 1
-                        break
-                    except BrokenProcessPool as exc:
-                        rebuild_pool(exc)  # raises TrialError past the cap
-                    except FutureTimeout as exc:
-                        futures[i].cancel()
-                        metrics.inc("runner_timeouts_total")
-                        if attempts[i] > self.retries:
-                            metrics.inc("runner_trials_failed_total", mode="pool")
-                            self._report(
-                                i, seed, attempts[i], done, total, t0,
-                                error=repr(exc),
-                            )
-                            raise TrialError(
-                                f"trial {i} (seed {seed}) timed out after "
-                                f"{attempts[i]} attempt(s)"
-                            ) from exc
-                        attempts[i] += 1
-                        metrics.inc("runner_retries_total", mode="pool")
-                        futures[i] = _submit(pool, _worker_run, seed)
-                    except Exception as exc:
-                        if attempts[i] > self.retries:
-                            metrics.inc("runner_trials_failed_total", mode="pool")
-                            self._report(
-                                i, seed, attempts[i], done, total, t0,
-                                error=str(exc),
-                            )
-                            raise TrialError(
-                                f"trial {i} (seed {seed}) failed after "
-                                f"{attempts[i]} attempt(s): {exc}"
-                            ) from exc
-                        attempts[i] += 1
-                        metrics.inc("runner_retries_total", mode="pool")
-                        futures[i] = _submit(pool, _worker_run, seed)
-                if ckpt is not None:
-                    ckpt.record(i, results[i])
-                    metrics.inc("runner_checkpoint_writes_total")
-                done += 1
-                self._report(i, seed, attempts[i], done, total, t0)
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-        metrics.inc("runner_trials_total", executed, mode="pool")
-        if metrics.enabled:
-            metrics.observe(
-                "runner_batch_seconds", time.perf_counter() - t0, mode="pool"
-            )
-        return results
-
-    # -- batch dispatch (batch_size is not None) -------------------------------
-
-    def _units(
-        self, seeds: list[int], preloaded: dict[int, object]
-    ) -> list[list[int]]:
-        """Slice the outstanding trial indices into batch-dispatch units.
-
-        Units are contiguous slices of the *remaining* indices (a resume
-        re-slices around checkpointed holes); each is one submit /
-        timeout / retry / checkpoint-write unit.
-        """
-        todo = [i for i in range(len(seeds)) if i not in preloaded]
-        size = self.batch_size
-        assert size is not None
-        return [todo[k:k + size] for k in range(0, len(todo), size)]
-
-    def _settle_unit(
-        self,
-        unit: list[int],
-        out: list,
-        results: list,
-        seeds: list[int],
-        attempts: int,
-        done: int,
-        total: int,
-        t0: float,
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None,
-    ) -> int:
-        """Merge one settled unit's results; returns the new done count."""
-        for i, r in zip(unit, out):
-            results[i] = r
-        if ckpt is not None:
-            ckpt.record_many(unit, out)
-            metrics.inc("runner_checkpoint_writes_total")
-        for i in unit:
-            done += 1
-            self._report(i, seeds[i], attempts, done, total, t0)
-        return done
-
-    def _run_serial_batched(
-        self,
-        seeds: list[int],
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None = None,
-        preloaded: dict[int, object] | None = None,
-    ) -> list:
-        preloaded = preloaded or {}
-        if self.timeout is not None:
-            _log.warning(
-                "timeout=%ss is configured but this batch of %d trial(s) "
-                "runs in-process, where per-unit timeouts cannot be "
-                "enforced; a stuck unit will hang the batch (use jobs>1 "
-                "for preemptible units)",
-                self.timeout,
-                len(seeds) - len(preloaded),
-            )
-            metrics.inc("runner_timeout_unenforced_total")
-        t0 = time.perf_counter()
-        observe = metrics.enabled
-        prof = get_profiler()
-        total = len(seeds)
-        results: list = [_UNSET] * total
-        for i, r in preloaded.items():
-            results[i] = r
-        done = len(preloaded)
-        executed = 0
-        for unit in self._units(seeds, preloaded):
-            unit_seeds = [seeds[i] for i in unit]
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    t_unit = time.perf_counter() if observe else 0.0
-                    with prof.span("runner.trial_batch"):
-                        out = self.fn(unit_seeds)
-                    executed += len(unit)
-                    if observe:
-                        # One observation per trial (count parity with
-                        # per-seed mode); the value is its share of the
-                        # unit's wall time.
-                        share = (time.perf_counter() - t_unit) / len(unit)
-                        for _ in unit:
-                            metrics.observe(
-                                "runner_trial_seconds", share, mode="serial"
-                            )
-                    break
-                except Exception as exc:
-                    if attempts > self.retries:
-                        metrics.inc("runner_trials_failed_total", mode="serial")
-                        self._report(
-                            unit[0], unit_seeds[0], attempts, done, total,
-                            t0, error=str(exc),
-                        )
-                        raise TrialError(
-                            f"trial unit {unit[0]}..{unit[-1]} "
-                            f"({len(unit)} seed(s)) failed after "
-                            f"{attempts} attempt(s): {exc}"
-                        ) from exc
-                    metrics.inc("runner_retries_total", mode="serial")
-            out = _batch_results(out, unit)
-            done = self._settle_unit(
-                unit, out, results, seeds, attempts, done, total, t0,
-                metrics, ckpt,
-            )
-        metrics.inc("runner_trials_total", executed, mode="serial")
-        if observe:
-            metrics.observe(
-                "runner_batch_seconds", time.perf_counter() - t0, mode="serial"
-            )
-        return results
-
-    def _run_pool_batched(
-        self,
-        seeds: list[int],
-        metrics: MetricsRegistry,
-        ckpt: _Checkpoint | None = None,
-        preloaded: dict[int, object] | None = None,
-    ) -> list:
-        preloaded = preloaded or {}
-        t0 = time.perf_counter()
-        total = len(seeds)
-        results: list = [_UNSET] * total
-        for i, r in preloaded.items():
-            results[i] = r
-        done = len(preloaded)
-        executed = 0
-        rebuilds = 0
-        metrics.gauge("runner_pool_jobs", self.jobs)
-        from repro.core.engine import get_default_backend
-
-        initargs = (pickle.dumps(self.fn), get_default_backend())
-        units = self._units(seeds, preloaded)
-
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_init,
-                initargs=initargs,
-            )
-
-        pool = make_pool()
-
-        def submit_unit(unit: list[int]):
-            return _submit(pool, _worker_run_batch, [seeds[i] for i in unit])
-
-        def rebuild_pool(exc: BaseException) -> None:
-            # Same recovery contract as the per-seed pool: a broken pool
-            # loses every unsettled future, so rebuild and resubmit all
-            # unsettled units, one attempt each.
+            # per-unit retries so retries=0 batches survive.
             nonlocal pool, rebuilds
             rebuilds += 1
             metrics.inc("runner_pool_rebuilds_total")
@@ -849,7 +630,7 @@ class TrialRunner:
                     f"{self.pool_rebuilds}); giving up on the batch"
                 ) from exc
             pending = [
-                ui for ui in futures if results[units[ui][0]] is _UNSET
+                ui for ui in futures if batch.results[units[ui][0]] is _UNSET
             ]
             _log.warning(
                 "worker pool broke (%r); rebuilding (%d/%d) and "
@@ -863,12 +644,14 @@ class TrialRunner:
             pool = make_pool()
             for ui in pending:
                 attempts[ui] += 1
-                futures[ui] = submit_unit(units[ui])
+                futures[ui] = submit(ui)
 
+        pool = make_pool()
         try:
-            futures = {ui: submit_unit(u) for ui, u in enumerate(units)}
-            attempts = {ui: 1 for ui in futures}
-            # Settle units in index order, like the per-seed pool.
+            futures = {ui: submit(ui) for ui in range(len(units))}
+            attempts = dict.fromkeys(futures, 1)
+            # Settle units in index order: per-unit timeouts compose and
+            # the progress stream matches the (deterministic) result order.
             for ui, unit in enumerate(units):
                 while True:
                     try:
@@ -876,56 +659,22 @@ class TrialRunner:
                         break
                     except BrokenProcessPool as exc:
                         rebuild_pool(exc)  # raises TrialError past the cap
-                    except FutureTimeout as exc:
-                        futures[ui].cancel()
-                        metrics.inc("runner_timeouts_total")
-                        if attempts[ui] > self.retries:
-                            metrics.inc(
-                                "runner_trials_failed_total", mode="pool"
-                            )
-                            self._report(
-                                unit[0], seeds[unit[0]], attempts[ui],
-                                done, total, t0, error=repr(exc),
-                            )
-                            raise TrialError(
-                                f"trial unit {unit[0]}..{unit[-1]} "
-                                f"({len(unit)} seed(s)) timed out after "
-                                f"{attempts[ui]} attempt(s)"
-                            ) from exc
-                        attempts[ui] += 1
-                        metrics.inc("runner_retries_total", mode="pool")
-                        futures[ui] = submit_unit(unit)
                     except Exception as exc:
+                        timed_out = isinstance(exc, FutureTimeout)
+                        if timed_out:
+                            futures[ui].cancel()
+                            metrics.inc("runner_timeouts_total")
                         if attempts[ui] > self.retries:
-                            metrics.inc(
-                                "runner_trials_failed_total", mode="pool"
-                            )
-                            self._report(
-                                unit[0], seeds[unit[0]], attempts[ui],
-                                done, total, t0, error=str(exc),
-                            )
-                            raise TrialError(
-                                f"trial unit {unit[0]}..{unit[-1]} "
-                                f"({len(unit)} seed(s)) failed after "
-                                f"{attempts[ui]} attempt(s): {exc}"
+                            raise batch.failure(
+                                unit, attempts[ui], exc, timed_out
                             ) from exc
                         attempts[ui] += 1
                         metrics.inc("runner_retries_total", mode="pool")
-                        futures[ui] = submit_unit(unit)
-                out = _batch_results(out, unit)
-                executed += len(unit)
-                done = self._settle_unit(
-                    unit, out, results, seeds, attempts[ui], done, total,
-                    t0, metrics, ckpt,
-                )
+                        futures[ui] = submit(ui)
+                batch.settle(unit, out, attempts[ui])
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         else:
             pool.shutdown(wait=True)
-        metrics.inc("runner_trials_total", executed, mode="pool")
-        if metrics.enabled:
-            metrics.observe(
-                "runner_batch_seconds", time.perf_counter() - t0, mode="pool"
-            )
-        return results
+        return batch.finish()

@@ -26,7 +26,6 @@ import pathlib
 import signal
 import threading
 import time
-from functools import partial
 from typing import Mapping
 
 from repro.errors import SweepError
@@ -93,8 +92,9 @@ def execute_shard(
     per-shard checkpoint under ``checkpoints/`` makes re-execution after
     a kill resume mid-shard instead of starting over.
     """
-    from repro.runners import TrialRunner, protocol_trial
-    from repro.runners.protocol_trials import fault_label, protocol_trial_batch
+    from repro.core.engine import get_default_backend, set_default_backend
+    from repro.runners import TrialRunner
+    from repro.runners.protocol_trials import fault_label, protocol_dispatch
 
     shards = plan.shards()
     if not 0 <= shard_index < len(shards):
@@ -109,31 +109,32 @@ def execute_shard(
     sweep_dir = pathlib.Path(sweep_dir)
     ckpt = checkpoint_path(sweep_dir, shard_index)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
-    if pconfig.backend == "batched":
-        # The whole shard is one lockstep batch: the sort kernel
-        # amortises across every seed while each trial stays
-        # bit-identical to a per-seed run (checkpoint resume included).
-        runner = TrialRunner(
-            partial(protocol_trial_batch, collection=collection, config=pconfig),
-            jobs=1,
-            progress=progress,
-            checkpoint=ckpt,
-            batch_size=max(1, len(shard.seeds)),
-        )
-    else:
-        runner = TrialRunner(
-            partial(protocol_trial, collection=collection, config=pconfig),
-            jobs=1,
-            progress=progress,
-            checkpoint=ckpt,
-        )
-    results = runner.run_seeds(list(shard.seeds))
-
-    from repro.core.engine import get_default_backend
+    # With jobs=1 a "batched" shard is one lockstep batch: the sort
+    # kernel amortises across every seed while each trial stays
+    # bit-identical to a per-seed run (checkpoint resume included).
+    backend, trial_fn, batch_size = protocol_dispatch(
+        collection, pconfig, trials=len(shard.seeds)
+    )
+    runner = TrialRunner(
+        trial_fn,
+        jobs=1,
+        progress=progress,
+        checkpoint=ckpt,
+        batch_size=batch_size,
+    )
+    # The checkpoint context records the process-default backend; pin
+    # it to the backend the shard actually runs, so a resume under a
+    # different default accepts the shard's own checkpoint.
+    previous = get_default_backend()
+    set_default_backend(backend)
+    try:
+        results = runner.run_seeds(list(shard.seeds))
+    finally:
+        set_default_backend(previous)
 
     labels = {
         "workload": repr(collection),
-        "backend": pconfig.backend or get_default_backend(),
+        "backend": backend,
         "fault_model": fault_label(pconfig),
         "scenario": "",
     }

@@ -111,17 +111,11 @@ class TestBreakDuringSubmission:
     def _refusing_pool(self, monkeypatch):
         monkeypatch.setattr(trial_module, "ProcessPoolExecutor", _RefusingPool)
 
-    def test_per_seed_pool_hits_cap(self):
-        reg = MetricsRegistry()
-        runner = TrialRunner(_always_crashes, jobs=2, metrics=reg)
-        with pytest.raises(TrialError, match="pool broke"):
-            runner.run_seeds(spawn_seeds(0, 4))
-        assert reg.value("runner_pool_rebuilds_total") == 4
-
-    def test_batch_pool_hits_cap(self):
+    @pytest.mark.parametrize("batch_size", [None, 2], ids=["per-seed", "batch"])
+    def test_pool_hits_cap(self, batch_size):
         reg = MetricsRegistry()
         runner = TrialRunner(
-            _always_crashes, jobs=2, batch_size=2, metrics=reg
+            _always_crashes, jobs=2, batch_size=batch_size, metrics=reg
         )
         with pytest.raises(TrialError, match="pool broke"):
             runner.run_seeds(spawn_seeds(0, 4))

@@ -144,3 +144,44 @@ class TestBatchedBackendDispatch:
             collection, jobs=2, backend="batched", **kwargs
         )
         assert got == base
+
+
+class TestProtocolDispatch:
+    """``protocol_dispatch`` is the one place the slice width is chosen."""
+
+    @pytest.fixture
+    def batched_default(self):
+        from repro.core.engine import get_default_backend, set_default_backend
+
+        original = get_default_backend()
+        set_default_backend("batched")
+        yield
+        set_default_backend(original)
+
+    def test_process_default_batched_gives_one_slice_per_job(
+        self, collection, batched_default
+    ):
+        from repro.core.protocol import ProtocolConfig
+        from repro.runners.protocol_trials import (
+            protocol_dispatch,
+            protocol_trial_batch,
+        )
+
+        backend, fn, batch_size = protocol_dispatch(
+            collection, ProtocolConfig(bandwidth=2), trials=7, jobs=2
+        )
+        assert (backend, batch_size) == ("batched", 4)
+        assert fn.func is protocol_trial_batch
+
+    def test_config_backend_overrides_default(self, collection, batched_default):
+        from repro.core.protocol import ProtocolConfig
+        from repro.runners.protocol_trials import protocol_dispatch
+
+        backend, fn, batch_size = protocol_dispatch(
+            collection,
+            ProtocolConfig(bandwidth=2, backend="vectorized"),
+            trials=7,
+            jobs=2,
+        )
+        assert (backend, batch_size) == ("vectorized", None)
+        assert fn.func is protocol_trial

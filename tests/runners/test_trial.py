@@ -1,6 +1,8 @@
 """Unit tests for the TrialRunner execution substrate."""
 
+import os
 import time
+from functools import partial
 
 import pytest
 
@@ -26,11 +28,55 @@ def _always_raises(seed):
 
 
 def _flaky(seed):
-    """Fails once per seed, then succeeds (serial retry path only)."""
+    """Fails once per seed, then succeeds (in-process state: serial only)."""
     if _FAIL_UNTIL.get(seed, 0) < 1:
         _FAIL_UNTIL[seed] = _FAIL_UNTIL.get(seed, 0) + 1
         raise RuntimeError("transient")
     return seed
+
+
+def _fail_once(seed, marker):
+    """Raise in the first call to claim the marker file, then behave.
+
+    The marker lives on disk, so the one failure is shared by every
+    worker process: the pooled counterpart of :func:`_flaky`.
+    """
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        os.close(fd)
+    except FileExistsError:
+        return seed * 2
+    raise RuntimeError("transient")
+
+
+def _each(fn, seeds):
+    """A batch trial function: the one-seed ``fn`` over a seed slice."""
+    return [fn(seed) for seed in seeds]
+
+
+class _PerSeed:
+    """Builds a class's runners over one-seed trial functions.
+
+    A ``...Slices`` subclass reruns every test of the class with the
+    same trial function dispatched as 2-seed units.
+    """
+
+    batch_size = None
+
+    @property
+    def width(self) -> int:
+        return self.batch_size or 1
+
+    def runner(self, fn, **kwargs) -> TrialRunner:
+        if self.batch_size is None:
+            return TrialRunner(fn, **kwargs)
+        return TrialRunner(
+            partial(_each, fn), batch_size=self.batch_size, **kwargs
+        )
+
+
+class _Slices(_PerSeed):
+    batch_size = 2
 
 
 class TestSpawnSeeds:
@@ -100,24 +146,51 @@ class TestFallbacks:
         assert reg.value("runner_trials_total", mode="serial") == 2
 
 
-class TestFailureHandling:
+class TestFailureHandling(_PerSeed):
     def test_serial_retry_then_success(self):
         _FAIL_UNTIL.clear()
-        out = TrialRunner(_flaky, retries=1).run(3, seed=5)
+        # Each seed of a unit fails once: one retry per seed of the unit.
+        out = self.runner(_flaky, retries=self.width).run(3, seed=5)
         assert out == spawn_seeds(5, 3)
 
     def test_serial_exhausted_retries_raise(self):
         with pytest.raises(TrialError, match="failed after 2 attempt"):
-            TrialRunner(_always_raises, retries=1).run(2, seed=0)
+            self.runner(_always_raises, retries=1).run(2, seed=0)
 
     def test_pool_exception_raises_trial_error(self):
         with pytest.raises(TrialError, match="failed after 1 attempt"):
-            TrialRunner(_always_raises, jobs=2).run(2, seed=0)
+            self.runner(_always_raises, jobs=2).run(2 * self.width, seed=0)
 
     def test_pool_timeout_raises_trial_error(self):
-        runner = TrialRunner(_sleepy, jobs=2, timeout=0.2)
+        runner = self.runner(_sleepy, jobs=2, timeout=0.2)
         with pytest.raises(TrialError, match="timed out"):
-            runner.run(2, seed=0)
+            runner.run(2 * self.width, seed=0)
+
+    def test_pool_retry_then_success(self, tmp_path):
+        from repro.observability import MetricsRegistry
+
+        reg = MetricsRegistry()
+        seeds = spawn_seeds(6, 2 * self.width)
+        runner = self.runner(
+            partial(_fail_once, marker=str(tmp_path / "failed.marker")),
+            jobs=2,
+            retries=1,
+            metrics=reg,
+        )
+        assert runner.run_seeds(seeds) == [s * 2 for s in seeds]
+        assert reg.value("runner_retries_total", mode="pool") == 1
+        assert reg.value("runner_trials_total", mode="pool") == len(seeds)
+
+    def test_single_trial_failure_names_trial_and_seed(self):
+        seed = spawn_seeds(0, 1)[0]
+        with pytest.raises(
+            TrialError, match=rf"^trial 0 \(seed {seed}\) failed after 1"
+        ):
+            self.runner(_always_raises).run(1, seed=0)
+
+
+class TestFailureHandlingSlices(_Slices, TestFailureHandling):
+    pass
 
 
 class TestProgress:
@@ -147,13 +220,13 @@ class TestPoolRebuildCap:
         assert TrialRunner(_double, pool_rebuilds=0).pool_rebuilds == 0
 
 
-class TestSerialTimeoutWarning:
+class TestSerialTimeoutWarning(_PerSeed):
     def test_serial_timeout_warns_and_counts(self, caplog):
         from repro.observability import MetricsRegistry
 
         reg = MetricsRegistry()
         with caplog.at_level("WARNING", logger="repro.runners.trial"):
-            out = TrialRunner(
+            out = self.runner(
                 _double, timeout=5.0, metrics=reg
             ).run_seeds([1, 2])
         assert out == [2, 4]
@@ -168,8 +241,12 @@ class TestSerialTimeoutWarning:
 
         reg = MetricsRegistry()
         with caplog.at_level("WARNING", logger="repro.runners.trial"):
-            TrialRunner(_double, metrics=reg).run_seeds([1, 2])
+            self.runner(_double, metrics=reg).run_seeds([1, 2])
         assert not [
             r for r in caplog.records if "enforced" in r.getMessage()
         ]
         assert not reg.value("runner_timeout_unenforced_total")
+
+
+class TestSerialTimeoutWarningSlices(_Slices, TestSerialTimeoutWarning):
+    pass
