@@ -38,14 +38,20 @@ under one of two replay policies:
   *and* are at most ``max_worm_length - 1`` steps apart (an occupancy
   written at ``t`` expires by ``t + L - 1``), so a single
   sorted-adjacent-gap test marks every event that sits in such a pair
-  as *clashed*. Only clashed events replay through the scalar loop.
-  Every other event meets an idle or stale channel, so its worm
-  advances unless it is already dead or the link is down; those events
-  are settled in numpy, and each worm's makespan contribution follows
-  from a closed form over its truncations. The clash test is
+  as *clashed*. Every other event meets an idle or stale channel, so
+  its worm advances unless it is already dead or the link is down;
+  those events are settled in numpy, and each worm's makespan
+  contribution follows from a closed form over its truncations. Under
+  the priority rule every clashed event replays through the scalar
+  loop. Under serve-first a numpy fixed point (:func:`_settle`) first
+  works out which clashed events are live, which meet a tie or an
+  occupant and which are lost to a dead link; only the contended
+  groups and the install of each one's occupant replay, and the replay
+  must reproduce every death the fixed point found. The clash test is
   conservative (it over-approximates contention), so outcomes are
-  bit-identical to replaying all by construction; the differential
-  test suite enforces it.
+  bit-identical to replaying all; the differential test suite enforces
+  it. Per-worm run state is built only for worms that the replay, a
+  dead link or a flight recorder touches.
 
 So three backend names map onto two policies. ``"vectorized"`` and
 ``"batched"`` resolve identically; ``"batched"`` additionally opts trial
@@ -157,19 +163,26 @@ def _lexorder(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> np.ndarra
 
 
 def _clashed(
-    chan: np.ndarray, t: np.ndarray, gap, chan_bound: int, t_bound: int
+    chan: np.ndarray,
+    t: np.ndarray,
+    gap,
+    chan_bound: int,
+    t_bound: int,
+    order: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mask of events sharing a channel with an event at most ``gap`` steps away.
 
     ``chan`` and ``t`` are each event's channel and time, below
     ``chan_bound`` and ``t_bound``; ``gap`` is a scalar or one value per
-    event. Sorted by (channel, time), adjacent rows are the only
-    candidates. Rows tied on (channel, time) sit together with a zero
-    gap, so all of them are clashed and their neighbours see the same
-    time whichever of them ends the tie: the mask does not depend on how
-    the sort breaks ties.
+    event. ``order`` is the rows' (channel, time) sort when the caller
+    already has it. Sorted by (channel, time), adjacent rows are the
+    only candidates. Rows tied on (channel, time) sit together with a
+    zero gap, so all of them are clashed and their neighbours see the
+    same time whichever of them ends the tie: the mask does not depend
+    on how the sort breaks ties.
     """
-    order = _lexorder((chan, t), (chan_bound, t_bound))
+    if order is None:
+        order = _lexorder((chan, t), (chan_bound, t_bound))
     c2 = chan[order]
     t2 = t[order]
     if isinstance(gap, np.ndarray):
@@ -181,6 +194,117 @@ def _clashed(
     mask = np.empty_like(hit)
     mask[order] = hit
     return mask
+
+
+#: The settle step's death position for a worm that survives the round.
+_ALIVE = np.iinfo(np.int64).max
+
+
+def _where(dead_at: int) -> str:
+    """A settle-step death position, for error messages."""
+    return "alive" if dead_at == _ALIVE else f"at link {dead_at}"
+
+
+def _settle(
+    chan: np.ndarray,
+    t: np.ndarray,
+    pos: np.ndarray,
+    run: np.ndarray,
+    dark: np.ndarray,
+    lowest: np.ndarray,
+    uid: np.ndarray | None,
+    length: np.ndarray,
+    cap: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serve-first outcome of clashed events, as a Jacobi fixed point.
+
+    The event arrays hold clashed serve-first events in (channel, time)
+    order: ``run`` indexes the per-worm ``uid`` (None when no event is
+    under the ``LOWEST_ID_WINS`` tie rule), ``length`` and ``cap`` (the
+    position of each worm's first dead link outside the clashes,
+    ``_ALIVE`` if none); ``dark`` marks events on a dead link and
+    ``lowest`` those under ``LOWEST_ID_WINS``. Each
+    iteration recomputes every event from the last one's state:
+
+    * an event is *live* if its head gets there, ``pos <= dead_at``
+      (a head does reach the link where it dies);
+    * a (channel, time) group with two or more live events is a *tie*;
+    * an event is *occupied* if the latest install strictly before its
+      group on its channel still holds the channel at its time (the
+      occupant's own worm length sets its end; serve-first installs
+      only on an idle channel, so the latest install is the only one
+      that can still hold it);
+    * a live event on a dead link faults its worm; a live event in a
+      tie or on an occupied channel is eliminated, except the lowest
+      live uid of an unoccupied ``LOWEST_ID_WINS`` tie, which installs
+      like a lone head on an idle channel.
+
+    Every event depends only on events at strictly earlier times, so
+    after the ``k``-th iteration the events at the ``k`` earliest times
+    are final; the loop stops at the first iteration that changes
+    neither the losses nor the installs, which is the unique
+    fixed point, after at most one iteration per event plus one.
+    Returns the per-worm death positions and the events the scalar
+    replay must see: every live event of a contended group plus the
+    install of each occupied group's occupant.
+    """
+    n = t.shape[0]
+    if not n:
+        return cap, np.zeros(0, dtype=bool)
+    step = np.empty(n, dtype=bool)
+    step[0] = True
+    np.not_equal(chan[1:], chan[:-1], out=step[1:])
+    # The first row of each event's channel, then of its (channel, time)
+    # group.
+    chan_first = np.flatnonzero(step)[np.cumsum(step) - 1]
+    step[1:] |= t[1:] != t[:-1]
+    firsts = np.flatnonzero(step)
+    group = np.cumsum(step) - 1
+    group_first = firsts[group]
+    end = t + length[run] - 1
+    # Most clusters have no same-time group and no dead link: skip the
+    # terms that are then always False.
+    any_tie = firsts.shape[0] < n
+    any_dark = bool(dark.any())
+    any_lowest = any_tie and bool(lowest.any())
+    ids = uid[run] if any_lowest else None
+    reachable = ~dark
+    rows = np.arange(n)
+    # latest[i]: the last installing row before row i (-1 if none).
+    latest = np.full(n + 1, -1, dtype=np.int64)
+    dead_at = cap
+    installed = killed = np.zeros(n, dtype=bool)
+    for _ in range(n + 1):
+        live = pos <= dead_at[run]
+        latest[1:] = np.where(installed, rows, -1)
+        np.maximum.accumulate(latest, out=latest)
+        occupant = latest[group_first]
+        # A row -1 fails the channel test, so its wrapped lookup is moot.
+        occupied = (occupant >= chan_first) & (end[occupant] >= t)
+        open_live = live & reachable if any_dark else live
+        if any_tie:
+            tie = np.add.reduceat(live, firsts, dtype=np.int64)[group] >= 2
+            contended = open_live & (tie | occupied)
+        else:
+            contended = open_live & occupied
+        install = open_live & ~contended
+        lost = (live & dark) | contended if any_dark else contended
+        if any_lowest:
+            open_tie = contended & lowest & ~occupied
+            key = np.where(open_tie, ids, _ALIVE)
+            won = open_tie & (ids == np.minimum.reduceat(key, firsts)[group])
+            install |= won
+            lost = lost & ~won
+        if not ((lost != killed).any() or (install != installed).any()):
+            break
+        killed, installed = lost, install
+        dead_at = cap.copy()
+        np.minimum.at(dead_at, run[killed], pos[killed])
+    else:
+        raise ProtocolError(f"the settle step did not converge over {n} events")
+    replay = contended.copy()
+    replay[occupant[contended & occupied]] = True
+    return dead_at, replay
 
 
 class _Record:
@@ -196,7 +320,14 @@ class _Record:
 
 
 class _Run:
-    """Mutable per-worm state for one round."""
+    """Mutable per-worm state for one round.
+
+    Built for every launched worm under the replay-all policy. The
+    replay-clashes policy builds one only for a worm that the scalar
+    replay, a dead link or a flight recorder touches; every other worm
+    is delivered whole, and :meth:`RoutingEngine._finalise` writes its
+    outcome straight from the worm and its launch.
+    """
 
     __slots__ = (
         "uid",
@@ -217,25 +348,8 @@ class _Run:
         self.uid = worm.uid
         self.length = worm.length
         self.n_links = worm.n_links
-        if launch.delay < 0:
-            raise ProtocolError(
-                f"worm {worm.uid}: negative launch delay {launch.delay}"
-            )
         self.delay = launch.delay
-        wl = launch.wavelength
-        if isinstance(wl, tuple):
-            if len(wl) != worm.n_links:
-                raise ProtocolError(
-                    f"worm {worm.uid}: {len(wl)} per-link wavelengths "
-                    f"for {worm.n_links} links"
-                )
-            if any(w < 0 for w in wl):
-                raise ProtocolError(
-                    f"worm {worm.uid}: negative per-link wavelength in {wl}"
-                )
-        elif wl < 0:
-            raise ProtocolError(f"worm {worm.uid}: negative wavelength {wl}")
-        self.wavelength = wl
+        self.wavelength = launch.wavelength
         self.priority = launch.priority
         self.cut_len = worm.length
         self.dead_at: int | None = None
@@ -245,6 +359,27 @@ class _Run:
         self.cuts: list[tuple[int, int, int]] = []
         self.blockers: list[int] = []
         self.records: list[_Record] = []
+
+
+def _check_launch(worm: Worm, launch: Launch) -> None:
+    """Reject a launch whose delay or wavelengths the engine cannot route."""
+    if launch.delay < 0:
+        raise ProtocolError(
+            f"worm {worm.uid}: negative launch delay {launch.delay}"
+        )
+    wl = launch.wavelength
+    if isinstance(wl, tuple):
+        if len(wl) != worm.n_links:
+            raise ProtocolError(
+                f"worm {worm.uid}: {len(wl)} per-link wavelengths "
+                f"for {worm.n_links} links"
+            )
+        if any(w < 0 for w in wl):
+            raise ProtocolError(
+                f"worm {worm.uid}: negative per-link wavelength in {wl}"
+            )
+    elif wl < 0:
+        raise ProtocolError(f"worm {worm.uid}: negative wavelength {wl}")
 
 
 def _last_step(run: _Run, last: int) -> int:
@@ -273,7 +408,7 @@ def _last_step(run: _Run, last: int) -> int:
 class _OrderedRecorder:
     """Buffers flight-recorder calls tagged with their global event index.
 
-    The replay-clashes policy emits the clashed events' calls from the
+    The replay-clashes policy emits the replayed events' calls from the
     scalar replay and the other events' calls from a later pass; tagging
     each call with the index of the event that produced it and flushing
     in sorted order makes the recorder stream bit-identical to the
@@ -339,7 +474,8 @@ class RoutingEngine:
 
     ``backend`` selects the replay policy: ``"python"`` replays every
     event through the scalar loop; ``"vectorized"`` replays only the
-    events the numpy clash test marks (bit-identical by construction);
+    events the numpy clash test and settle step leave contended
+    (bit-identical, see the module docstring);
     ``"batched"`` resolves like ``"vectorized"`` and is also the opt-in
     marker that routes trial drivers through lockstep
     :func:`run_round_batch` passes. None defers to the process default
@@ -473,11 +609,20 @@ class RoutingEngine:
         id order is what keeps incremental and static runs
         bit-identical); only the per-worm arrays are released, so a
         long-running engine's memory tracks the *active* population.
+        Every uid is checked before any worm is dropped, so a call
+        naming an unknown or repeated uid leaves the engine unchanged.
         """
+        uids = list(uids)
+        seen: set[int] = set()
         for uid in uids:
             if uid not in self._worms:
                 raise ProtocolError(f"cannot retire unknown worm uid {uid}")
+            if uid in seen:
+                raise ProtocolError(f"worm uid {uid} retired twice in one call")
+            seen.add(uid)
+        if uids:
             self._ev_table = None
+        for uid in uids:
             del self._worms[uid]
             del self._lid_arrays[uid]
 
@@ -507,26 +652,37 @@ class RoutingEngine:
             [RoundCall(self, launches, collect_collisions, dead_links, recorder)]
         )[0]
 
-    def _begin_runs(
-        self,
-        launches: Sequence[Launch],
-        recorder: "FlightRecorder | None",
-    ) -> list[_Run]:
-        """Validate ``launches`` into per-round ``_Run`` state (+ launch events)."""
-        runs: list[_Run] = []
+    def _launched(self, launches: Sequence[Launch]) -> list[Worm]:
+        """The launched worms, in launch order, after checking every launch.
+
+        Set and ``min`` checks clear the common case in one pass; if any
+        fails, the launches are re-walked in order so the first bad one
+        raises its own error.
+        """
+        registered = self._worms
+        uids = [launch.worm for launch in launches]
+        wls = [launch.wavelength for launch in launches]
+        distinct = set(uids)
+        if (
+            len(distinct) == len(uids)
+            and distinct <= registered.keys()
+            and min(launch.delay for launch in launches) >= 0
+            and not any(isinstance(wl, tuple) for wl in wls)
+            and min(wls) >= 0
+        ):
+            return [registered[uid] for uid in uids]
+        worms: list[Worm] = []
         seen: set[int] = set()
         for launch in launches:
-            worm = self._worms.get(launch.worm)
+            worm = registered.get(launch.worm)
             if worm is None:
                 raise ProtocolError(f"launch names unknown worm uid {launch.worm}")
             if launch.worm in seen:
                 raise ProtocolError(f"worm uid {launch.worm} launched twice")
             seen.add(launch.worm)
-            runs.append(_Run(worm, launch))
-        if recorder is not None:
-            for run in runs:
-                recorder.launch(run)
-        return runs
+            _check_launch(worm, launch)
+            worms.append(worm)
+        return worms
 
     def _dead_lids(self, dead_links: Sequence[tuple] | None) -> set[int]:
         """The round's dead directed links as registered link ids."""
@@ -554,10 +710,10 @@ class RoutingEngine:
 
         This is the one place collision semantics are applied. The
         replay-all policy passes the whole round; the replay-clashes
-        policy passes only its clashed events plus ``order`` -- their
-        indices in the full round -- so fault attribution, truncation
-        logs and recorder emission keep global positions. Returns the
-        number of contended coupler groups.
+        policy passes only the events :func:`_partition` chose, plus
+        ``order`` -- their indices in the full round -- so fault
+        attribution, truncation logs and recorder emission keep global
+        positions. Returns the number of contended coupler groups.
         """
         contended = 0
         occupancy: dict[tuple[int, int], _Record] = {}
@@ -700,76 +856,81 @@ class RoutingEngine:
 
     def _apply_partition(
         self,
-        runs: list[_Run],
+        slot: "_Slot",
         arrays: tuple[np.ndarray, ...],
-        clashed: np.ndarray | None,
-        dead_lids: set[int],
-        collect_collisions: bool,
-        recorder,
-        collisions: list[CollisionEvent],
-        faulted_at: dict[int, int],
+        replay: np.ndarray | None,
+        faults: np.ndarray | None,
+        settled: np.ndarray | None,
     ) -> tuple[int, int]:
-        """Resolve one round, replaying only its ``clashed`` events.
+        """Resolve one round, replaying only its ``replay`` events.
 
-        ``clashed`` is None under the replay-all policy: every event
-        replays, in order, straight to ``recorder``. Event indices in
-        ``arrays`` are the round's own (per-trial) global positions.
-        An unclashed event is alone in its (time, link, wavelength) group
-        on an idle or stale channel, and its record never meets another
-        event: its worm advances if still alive there, or faults if the
-        link is dead. So only clashed events replay through
-        :meth:`_resolve_scalar`, and :meth:`_finalise` needs no records
-        of the others. A worm's first dead link among its unclashed
-        events caps the replay (its clashed events past the cap cannot
-        happen); a worm the replay leaves alive faults at its cap.
+        ``replay`` is None under the replay-all policy: every event
+        replays, in order, over the slot's eager run list, straight to
+        the recorder. Otherwise :func:`_partition` chose the events
+        (indices in ``arrays`` are the round's own global positions):
+        ``replay`` holds the events :meth:`_resolve_scalar` must see,
+        and ``faults`` the heads lost to a dead link outside them. A
+        fault stands only if the replay left its worm alive. Runs are
+        built for the worms these events touch. ``settled``, when given,
+        is the settle step's death position of every worm (``_ALIVE``
+        for a survivor), and the replay must agree with it.
         Returns ``(contended groups, events not replayed)``.
         """
-        if clashed is None:
+        call = slot.call
+        runs = slot.runs
+        recorder = call.recorder
+        if replay is None:
             events = list(zip(*(col.tolist() for col in arrays)))
             contended = self._resolve_scalar(
-                events, runs, dead_lids, collect_collisions, recorder,
-                collisions, faulted_at,
+                events, runs, slot.dead_lids, call.collect_collisions,
+                recorder, slot.collisions, slot.faulted_at,
             )
             return contended, 0
         t, lid, wl, pos, ri = arrays
-        replay = clashed
-        capped = None
-        if dead_lids:
-            dead_arr = np.fromiter(dead_lids, dtype=np.int64, count=len(dead_lids))
-            dark = ~clashed & np.isin(lid, dead_arr)
-            if dark.any():
-                cap = np.full(len(runs), self._max_links, dtype=np.int64)
-                np.minimum.at(cap, ri[dark], pos[dark])
-                capped = dark & (pos == cap[ri])
-                replay = clashed & (pos < cap[ri])
+        idx = np.flatnonzero(replay)
+        lost = np.flatnonzero(faults)
+        worms, launches = slot.worms, call.launches
+        for k in {*ri[idx].tolist(), *ri[lost].tolist()}:
+            if k not in runs:
+                runs[k] = _Run(worms[k], launches[k])
 
         emitter = _OrderedRecorder() if recorder is not None else None
         contended = 0
-        idx = np.nonzero(replay)[0]
         if idx.shape[0]:
             events = list(zip(*(col[idx].tolist() for col in arrays)))
             contended = self._resolve_scalar(
-                events, runs, dead_lids, collect_collisions, emitter,
-                collisions, faulted_at, order=idx.tolist(),
+                events, runs, slot.dead_lids, call.collect_collisions, emitter,
+                slot.collisions, slot.faulted_at, order=idx.tolist(),
             )
 
-        if capped is not None:
-            for g, k, p, dlid in zip(
-                np.nonzero(capped)[0].tolist(),
-                ri[capped].tolist(),
-                pos[capped].tolist(),
-                lid[capped].tolist(),
-            ):
-                run = runs[k]
-                if run.dead_at is None:
-                    run.dead_at = p
-                    run.faulted = True
-                    if dlid not in faulted_at or g < faulted_at[dlid]:
-                        faulted_at[dlid] = g
+        faulted_at = slot.faulted_at
+        for g, k, p, dlid in zip(
+            lost.tolist(), ri[lost].tolist(), pos[lost].tolist(), lid[lost].tolist()
+        ):
+            run = runs[k]
+            if run.dead_at is None:
+                run.dead_at = p
+                run.faulted = True
+                if dlid not in faulted_at or g < faulted_at[dlid]:
+                    faulted_at[dlid] = g
+
+        if settled is not None:
+            replayed = np.full(len(worms), _ALIVE, dtype=np.int64)
+            for k, run in runs.items():
+                if run.dead_at is not None:
+                    replayed[k] = run.dead_at
+            bad = np.flatnonzero(replayed != settled)
+            if bad.shape[0]:
+                k = int(bad[0])
+                raise ProtocolError(
+                    f"worm {worms[k].uid}: the replay ends it "
+                    f"{_where(replayed[k])} but the settle step "
+                    f"{_where(settled[k])}"
+                )
 
         if emitter is not None:
             links = self._links
-            quiet = np.nonzero(~clashed)[0]
+            quiet = np.flatnonzero(~replay)
             for g, et, elid, ewl, ep, ek in zip(
                 quiet.tolist(), *(col[quiet].tolist() for col in arrays)
             ):
@@ -782,7 +943,7 @@ class RoutingEngine:
                 for gc, _, new_len in run.cuts:
                     if gc < g:
                         cut_len = new_len
-                # An unclashed event can only stop its worm at a dead link.
+                # A head outside the replay can only stop at a dead link.
                 name = "advance" if dead is None or ep < dead else "fault"
                 emitter.add(g, name, run, cut_len, et, ep, links[elid], ewl)
             emitter.flush(recorder)
@@ -842,27 +1003,30 @@ class RoutingEngine:
         return table
 
     def _event_parts(
-        self, runs: list[_Run]
+        self, worms: list[Worm], launches: Sequence[Launch]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Unsorted event columns ``(t, lid, wl, pos, ri)`` for ``runs``.
+        """Unsorted event columns ``(t, lid, wl, pos, ri)`` for ``launches``.
 
-        One vectorized gather from the event table instead of a per-worm
-        loop. Row order is immaterial: the (time, link, wavelength, pos,
-        run) key is unique per event, so the follow-up sort fixes the
-        canonical order regardless of input order.
+        ``worms`` are the launched worms in launch order; ``ri`` indexes
+        them. One vectorized gather from the event table instead of a
+        per-worm loop. Row order is immaterial: the (time, link,
+        wavelength, pos, run) key is unique per event, so the follow-up
+        sort fixes the canonical order regardless of input order.
         """
         ev_lid, ev_pos, spans = self._event_table()
-        k = len(runs)
-        counts = np.fromiter((run.n_links for run in runs), dtype=np.int64, count=k)
-        starts = np.fromiter((spans[run.uid] for run in runs), dtype=np.int64, count=k)
-        delays = np.fromiter((run.delay for run in runs), dtype=np.int64, count=k)
+        k = len(worms)
+        counts = np.fromiter((len(w.path) - 1 for w in worms), dtype=np.int64, count=k)
+        starts = np.fromiter((spans[w.uid] for w in worms), dtype=np.int64, count=k)
+        delays = np.fromiter(
+            (launch.delay for launch in launches), dtype=np.int64, count=k
+        )
         total = int(counts.sum())
         # Segmented arange: event e of run k gathers table row starts[k]+e.
         flat0 = np.cumsum(counts) - counts
         idx = np.arange(total, dtype=np.int64)
         idx += np.repeat(starts - flat0, counts)
         pos = ev_pos[idx]
-        wls = [run.wavelength for run in runs]
+        wls = [launch.wavelength for launch in launches]
         if any(isinstance(w, tuple) for w in wls):
             wl = np.fromiter(
                 chain.from_iterable(
@@ -913,11 +1077,28 @@ class RoutingEngine:
         raise ProtocolError(f"worm {uid} blocked with no other participant")
 
     @staticmethod
-    def _finalise(runs: list[_Run]) -> tuple[dict[int, WormOutcome], int | None]:
+    def _finalise(slot: "_Slot") -> tuple[dict[int, WormOutcome], int | None]:
+        """Per-worm outcomes (in launch order) and the makespan.
+
+        A worm without a run was delivered whole: nothing it met could
+        stop or cut it.
+        """
+        runs = slot.runs
+        if isinstance(runs, dict):
+            runs = [runs.get(k) for k in range(len(slot.worms))]
         outcomes: dict[int, WormOutcome] = {}
         makespan = -1
-        for run in runs:
-            if run.dead_at is not None:
+        for run, worm, launch in zip(runs, slot.worms, slot.call.launches):
+            if run is None:
+                end = launch.delay + len(worm.path) - 2 + worm.length - 1
+                outcomes[worm.uid] = WormOutcome(
+                    worm=worm.uid,
+                    delivered=True,
+                    delivered_flits=worm.length,
+                    completion_time=end,
+                    blockers=(),
+                )
+            elif run.dead_at is not None:
                 # A worm lost at its first link never moved a flit.
                 end = _last_step(run, run.dead_at - 1) if run.dead_at else -1
                 outcomes[run.uid] = WormOutcome(
@@ -995,8 +1176,9 @@ class _Slot:
     """One launched call's state through a :func:`run_round_batch` pass."""
 
     __slots__ = (
-        "index", "call", "engine", "metrics", "runs", "parts", "dead_lids",
-        "seconds", "contended", "free_events", "collisions", "faulted_at",
+        "index", "call", "engine", "metrics", "worms", "runs", "parts",
+        "dead_lids", "seconds", "contended", "free_events", "collisions",
+        "faulted_at",
     )
 
     def __init__(self, index: int, call: RoundCall, metrics: MetricsRegistry) -> None:
@@ -1006,6 +1188,28 @@ class _Slot:
         self.metrics = metrics
         self.collisions: list[CollisionEvent] = []
         self.faulted_at: dict[int, int] = {}
+
+    def begin(self) -> None:
+        """Check the launches and lay out the run state and event columns.
+
+        The replay-all policy gets an eager run list. The replay-clashes
+        policy starts from an empty dict and builds runs as the replay
+        and dead links touch worms, unless a flight recorder needs every
+        run from the launch on.
+        """
+        eng = self.engine
+        call = self.call
+        self.worms = worms = eng._launched(call.launches)
+        recorder = call.recorder
+        runs = []
+        if eng.backend == "python" or recorder is not None:
+            runs = list(map(_Run, worms, call.launches))
+        if recorder is not None:
+            for run in runs:
+                recorder.launch(run)
+        self.runs = runs if eng.backend == "python" else dict(enumerate(runs))
+        self.parts = eng._event_parts(worms, call.launches)
+        self.dead_lids = eng._dead_lids(call.dead_links)
 
 
 def run_round_batch(calls: Sequence[RoundCall]) -> list[RoundResult]:
@@ -1023,8 +1227,10 @@ def run_round_batch(calls: Sequence[RoundCall]) -> list[RoundResult]:
     trial's events reproduces that trial's own sort (the per-trial key
     tuples are unique); the clash test keys channels by trial and uses
     each trial's own ``max_worm_length - 1`` gap, so the per-trial clash
-    masks -- and hence outcomes, collision order, fault attribution, and
-    recorder streams -- match a one-call pass exactly.
+    masks match a one-call pass exactly. The settle step relates an
+    event only to events of its own channel and its own worm, both
+    keyed by trial, so its per-trial results do too -- and hence
+    outcomes, collision order, fault attribution, and recorder streams.
 
     Every pass opens one ``engine.round`` span (on the first call's
     profiler); one that launches anything gives it one
@@ -1078,10 +1284,7 @@ def _run_round_batch(
     with prof.span("engine.build_events"):
         for slot in live:
             start = clock()
-            eng = slot.engine
-            slot.runs = eng._begin_runs(slot.call.launches, slot.call.recorder)
-            slot.parts = eng._event_parts(slot.runs)
-            slot.dead_lids = eng._dead_lids(slot.call.dead_links)
+            slot.begin()
             slot.seconds = [clock() - start, 0.0, 0.0]
         start = clock()
         columns, rows, trial = _sorted_events(live)
@@ -1089,18 +1292,20 @@ def _run_round_batch(
 
     with prof.span("engine.resolve"):
         start = clock()
-        clashed = None
+        replay = faults = None
+        settled: list[np.ndarray | None] = [None] * len(live)
         if any(slot.engine.backend != "python" for slot in live):
-            clashed = _clash_mask(live, columns, trial)
+            replay, faults, settled = _partition(live, columns, rows, trial)
         shared[1] = clock() - start
-        for slot, lo, hi in zip(live, rows, rows[1:]):
+        for i, (slot, lo, hi) in enumerate(zip(live, rows, rows[1:])):
             start = clock()
             eng = slot.engine
+            if eng.backend == "python":
+                policy = (None, None, None)
+            else:
+                policy = (replay[lo:hi], faults[lo:hi], settled[i])
             slot.contended, slot.free_events = eng._apply_partition(
-                slot.runs, tuple(col[lo:hi] for col in columns),
-                None if eng.backend == "python" else clashed[lo:hi],
-                slot.dead_lids, slot.call.collect_collisions,
-                slot.call.recorder, slot.collisions, slot.faulted_at,
+                slot, tuple(col[lo:hi] for col in columns), *policy
             )
             slot.seconds[1] = clock() - start
 
@@ -1117,7 +1322,7 @@ def _run_round_batch(
         for slot, lo, hi in zip(live, rows, rows[1:]):
             start = clock()
             eng = slot.engine
-            outcomes, makespan = eng._finalise(slot.runs)
+            outcomes, makespan = eng._finalise(slot)
             faulted_links = tuple(
                 eng._links[lid]
                 for lid, _ in sorted(slot.faulted_at.items(), key=lambda kv: kv[1])
@@ -1161,7 +1366,7 @@ def _sorted_events(
     bounds = [
         int(t.max()) + 1, max(len(eng._links) for eng in engines),
         int(wl.max()) + 1, max(eng._max_links for eng in engines),
-        max(len(slot.runs) for slot in live),
+        max(len(slot.worms) for slot in live),
     ]
     if trial is not None:
         # Trials keep their input blocks, so the sorted trial column is
@@ -1172,19 +1377,96 @@ def _sorted_events(
     return [col[order] for col in columns], rows, trial
 
 
-def _clash_mask(
-    live: list[_Slot], columns: list[np.ndarray], trial: np.ndarray | None
-) -> np.ndarray:
-    """:func:`_clashed` over the pass's (trial, link, wavelength) channels.
+def _partition(
+    live: list[_Slot],
+    columns: list[np.ndarray],
+    rows: list[int],
+    trial: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
+    """Choose the events the replay-clashes policy replays, pass-wide.
 
-    Each trial keeps its own ``max_worm_length - 1`` gap; the global
-    wavelength radix keeps the composite channel key injective.
+    Runs :func:`_clashed` over the pass's (trial, link, wavelength)
+    channels; each trial keeps its own ``max_worm_length - 1`` gap, and
+    the global wavelength radix keeps the composite channel key
+    injective. Returns per-event ``replay`` and ``faults`` masks (see
+    :meth:`RoutingEngine._apply_partition`) and, per slot, the settle
+    step's per-worm death positions (None where it does not run).
+
+    A worm's first dead link among its unclashed events caps it: its
+    events past the cap cannot happen. Under the priority rule the
+    replay is every clashed event before its worm's cap, and a worm the
+    replay leaves alive faults at its cap. Serve-first slots go through
+    :func:`_settle` over the same channel sort, once for the pass; their
+    replay shrinks to the contended groups and their occupants'
+    installs, and their faults to every live event on a dead link.
+    Slots of the replay-all policy ride along in the sort and the clash
+    test but take nothing from the result.
     """
-    t, lid, wl = columns[:3]
+    t, lid, wl, pos, ri = columns
     radix = int(wl.max()) + 1
     chans = max(len(slot.engine._links) for slot in live) * radix
-    gaps = np.array([max(run.length for run in slot.runs) - 1 for slot in live])
+    lengths = [
+        np.fromiter((w.length for w in slot.worms), dtype=np.int64, count=len(slot.worms))
+        for slot in live
+    ]
+    gaps = np.array([int(length.max()) - 1 for length in lengths])
     chan, gap = lid * radix + wl, gaps[0]
     if trial is not None:
         chan, gap = chan + trial * chans, gaps[trial]
-    return _clashed(chan, t, gap, len(live) * chans, int(t.max()) + 1)
+    bounds = (len(live) * chans, int(t.max()) + 1)
+    order = _lexorder((chan, t), bounds)
+    clashed = _clashed(chan, t, gap, *bounds, order=order)
+
+    partitioned = [slot.engine.backend != "python" for slot in live]
+    bases = list(accumulate((len(slot.worms) for slot in live), initial=0))
+    run = ri if trial is None else ri + np.asarray(bases[:-1])[trial]
+    dead_at = np.full(bases[-1], _ALIVE, dtype=np.int64)
+    dark = np.zeros(t.shape[0], dtype=bool)
+    replay, faults = clashed.copy(), dark
+    if any(own and slot.dead_lids for slot, own in zip(live, partitioned)):
+        for slot, lo, hi, own in zip(live, rows, rows[1:], partitioned):
+            if own and slot.dead_lids:
+                down = np.zeros(len(slot.engine._links), dtype=bool)
+                down[list(slot.dead_lids)] = True
+                dark[lo:hi] = down[lid[lo:hi]]
+        quiet_dark = dark & ~clashed
+        np.minimum.at(dead_at, run[quiet_dark], pos[quiet_dark])
+        cap = dead_at[run]
+        replay &= pos < cap
+        faults = quiet_dark & (pos == cap)
+
+    settles = [
+        own and slot.engine.rule is CollisionRule.SERVE_FIRST
+        for slot, own in zip(live, partitioned)
+    ]
+    settled: list[np.ndarray | None] = [None] * len(live)
+    if not any(settles):
+        return replay, faults, settled
+    if all(settles):
+        on = np.ones(t.shape[0], dtype=bool)
+    else:
+        on = np.repeat(settles, np.diff(rows))
+    sel = order[(clashed & on)[order]]
+    if not sel.shape[0]:
+        # No clashes to settle: the replay and the faults stand as they are.
+        return replay, faults, settled
+    lowest = np.array(
+        [slot.engine.tie_rule is TieRule.LOWEST_ID_WINS for slot in live]
+    )
+    lowest = np.full(sel.shape[0], lowest[0]) if trial is None else lowest[trial[sel]]
+    uid = np.concatenate([
+        np.fromiter((w.uid for w in slot.worms), dtype=np.int64, count=len(slot.worms))
+        for slot in live
+    ]) if lowest.any() else None
+    length = np.concatenate(lengths)
+    dead_at, chosen = _settle(
+        chan[sel], t[sel], pos[sel], run[sel], dark[sel],
+        lowest, uid, length, dead_at,
+    )
+    replay[on] = False
+    replay[sel[chosen]] = True
+    faults = np.where(on, dark & (pos == dead_at[run]), faults)
+    for i, (lo, hi) in enumerate(zip(bases, bases[1:])):
+        if settles[i]:
+            settled[i] = dead_at[lo:hi]
+    return replay, faults, settled

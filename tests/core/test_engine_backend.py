@@ -6,12 +6,14 @@ when nothing launches), launch validation at the engine boundary
 (negative delays / wavelengths raise ``ProtocolError`` even from
 launch-shaped objects that bypassed ``Launch``'s own checks), the
 stale-occupancy eviction (the dict stays bounded across a long round),
-and fixed cases of the clash-only replay (truncation, dead links and
-recorder streams around one clashed event).
+fixed cases of the clash-only replay (truncation, dead links and
+recorder streams around one clashed event), and fixed cases of the
+serve-first settle step (which clashed events still replay).
 Backend *equivalence* is property-tested in
 ``tests/property/test_differential_backend.py``.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.engine import (
@@ -274,7 +276,8 @@ class _Collector:
 _LINE = (0, 1, 2, 3, 4, 5, 6, 7)
 
 
-def _all_backends(worms, launches, rule, dead_links=()):
+def _all_backends(worms, launches, rule, dead_links=(),
+                  tie_rule=TieRule.ALL_LOSE):
     """Run one round on every backend, the batch kernel and the oracle.
 
     Returns ``(results, streams, engine)``: the backends' RoundResults
@@ -291,7 +294,7 @@ def _all_backends(worms, launches, rule, dead_links=()):
         recorder.describe_worms(worms)
         recorder.begin_round(1)
         engine = RoutingEngine(
-            worms, rule, TieRule.ALL_LOSE,
+            worms, rule, tie_rule,
             backend="batched" if backend == "batch-kernel" else backend,
         )
         if backend == "batch-kernel":
@@ -314,7 +317,7 @@ def _all_backends(worms, launches, rule, dead_links=()):
         recorder.begin_round(1)
         registry = MetricsRegistry()
         calls.append(RoundCall(
-            RoutingEngine(worms, rule, TieRule.ALL_LOSE, metrics=registry,
+            RoutingEngine(worms, rule, tie_rule, metrics=registry,
                           backend=backend),
             launches, dead_links=dead_links or None, recorder=recorder,
         ))
@@ -331,7 +334,7 @@ def _all_backends(worms, launches, rule, dead_links=()):
             "engine_free_events_total", rule=rule.name.lower()
         )
     results["reference"] = reference_run_round(
-        worms, launches, rule, TieRule.ALL_LOSE, dead_links=dead_links or None
+        worms, launches, rule, tie_rule, dead_links=dead_links or None
     )
     return results, streams, engine
 
@@ -353,31 +356,53 @@ def _assert_identical(results, streams):
 
 def _clashed_positions(engine, launches, uid):
     """The positions of worm ``uid`` whose events the partition replays."""
-    runs = engine._begin_runs(launches, None)
-    t, lid, wl, pos, ri = engine._event_parts(runs)
+    worms = engine._launched(launches)
+    t, lid, wl, pos, ri = engine._event_parts(worms, launches)
     radix = int(wl.max()) + 1
     order = _lexorder(
         (t, lid, wl, pos, ri),
         (int(t.max()) + 1, len(engine._links), radix, engine._max_links,
-         len(runs)),
+         len(worms)),
     )
     t, lid, wl, pos, ri = (col[order] for col in (t, lid, wl, pos, ri))
-    gap = max(run.length for run in runs) - 1
+    gap = max(worm.length for worm in worms) - 1
     mask = _clashed(
         lid * radix + wl, t, gap, len(engine._links) * radix, int(t[-1]) + 1
     )
-    k = next(i for i, run in enumerate(runs) if run.uid == uid)
+    k = next(i for i, worm in enumerate(worms) if worm.uid == uid)
     return sorted(pos[mask & (ri == k)].tolist())
+
+
+def _replayed_positions(worms, launches, rule, tie_rule=TieRule.ALL_LOSE,
+                        dead_links=()):
+    """Each worm's positions that the replay-clashes policy replays.
+
+    Spies on the scalar replay of a vectorized engine; worms it never
+    sees are absent.
+    """
+    engine = RoutingEngine(worms, rule, tie_rule, backend="vectorized")
+    replay = engine._resolve_scalar
+    seen = {}
+
+    def spy(events, *args, **kwargs):
+        for _, _, _, pos, k in events:
+            seen.setdefault(launches[k].worm, []).append(pos)
+        return replay(events, *args, **kwargs)
+
+    engine._resolve_scalar = spy
+    engine.run_round(launches, dead_links=dead_links or None)
+    return {uid: sorted(positions) for uid, positions in seen.items()}
 
 
 class TestClashReplay:
     """The partition replays only clashed events, never a whole worm.
 
-    In each case worm 0 runs along ``_LINE`` and meets another worm on
-    exactly one link, so it has unclashed events both before and after
-    its one clashed event. Every backend, the stacked batch kernel and
-    the flit-level oracle must agree on the whole RoundResult, and the
-    backends on the flight-recorder stream.
+    In the first cases worm 0 runs along ``_LINE`` and meets another
+    worm on exactly one link, so it has unclashed events both before and
+    after its one clashed event. The serve-first cases after them
+    replay fewer events still. Every backend, the stacked batch kernel
+    and the flit-level oracle must agree on the whole RoundResult, and
+    the backends on the flight-recorder stream.
     """
 
     def _truncation_case(self):
@@ -401,6 +426,11 @@ class TestClashReplay:
         )
         _assert_identical(results, streams)
         assert _clashed_positions(engine, launches, 0) == [3]
+        # The priority rule replays the whole clash set.
+        assert _replayed_positions(worms, launches, CollisionRule.PRIORITY) == {
+            0: _clashed_positions(engine, launches, 0),
+            1: _clashed_positions(engine, launches, 1),
+        }
         cut = results["python"].outcomes[0]
         assert cut.failure is FailureKind.TRUNCATED
         assert cut.delivered_flits == 2
@@ -488,3 +518,178 @@ class TestClashReplay:
         assert out[2].failure is FailureKind.FAULTED
         # Attribution follows event order: worm 0's t=1 hit comes first.
         assert results["python"].faulted_links == ((1, 2), (5, 6))
+
+    # -- the serve-first settle step -----------------------------------------
+    #
+    # Only the contended (link, wavelength, time) groups and the install
+    # of each one's occupant reach the scalar replay; every other clashed
+    # event is settled by the numpy fixed point. Each case also pins the
+    # exact replayed positions. Worm 0 runs along ``_LINE`` with delay 0,
+    # so it enters link ``(i, i + 1)`` at ``t = i``.
+
+    def test_cascade_frees_a_later_arrival(self):
+        # Worm 1 holds (2, 3) over [1, 4], so worm 0 dies there at t=2.
+        # Had it lived it would hold (4, 5) over [4, 7] and eliminate
+        # worm 2, which arrives there at t=5: worm 2's event is clashed
+        # but meets an idle channel once the upstream loss is settled.
+        worms = [
+            Worm(uid=0, path=_LINE, length=4),
+            Worm(uid=1, path=(20, 2, 3, 21), length=4),
+            Worm(uid=2, path=(40, 4, 5, 41), length=4),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=1, delay=0, wavelength=0),
+            Launch(worm=2, delay=4, wavelength=0),
+        ]
+        results, streams, engine = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST
+        )
+        _assert_identical(results, streams)
+        assert _clashed_positions(engine, launches, 2) == [1]
+        assert _replayed_positions(
+            worms, launches, CollisionRule.SERVE_FIRST
+        ) == {0: [2], 1: [1]}
+        out = results["python"].outcomes
+        assert out[0].failed_at_link == 2 and out[0].blockers == (1,)
+        assert out[1].delivered and out[2].delivered
+
+    def test_head_eliminated_where_it_arrives(self):
+        # Worms 0 and 1 reach (3, 4) together at t=3: both heads get
+        # there and both die there, so neither holds the link when
+        # worm 2 arrives at t=5.
+        worms = [
+            Worm(uid=0, path=_LINE, length=4),
+            Worm(uid=1, path=(30, 3, 4, 31), length=4),
+            Worm(uid=2, path=(50, 3, 4, 51), length=4),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=1, delay=2, wavelength=0),
+            Launch(worm=2, delay=4, wavelength=0),
+        ]
+        results, streams, _ = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST
+        )
+        _assert_identical(results, streams)
+        assert _replayed_positions(
+            worms, launches, CollisionRule.SERVE_FIRST
+        ) == {0: [3], 1: [1]}
+        out = results["python"].outcomes
+        assert out[0].failed_at_link == 3 and out[1].failed_at_link == 1
+        assert out[2].delivered
+
+    def test_lowest_id_winner_becomes_occupant(self):
+        # The same tie under LOWEST_ID_WINS: worm 0 wins (3, 4) and
+        # holds it over [3, 6], so worm 2 arriving at t=5 is eliminated
+        # with worm 0 as occupant and blocker.
+        worms = [
+            Worm(uid=0, path=_LINE, length=4),
+            Worm(uid=1, path=(30, 3, 4, 31), length=4),
+            Worm(uid=2, path=(50, 3, 4, 51), length=4),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=1, delay=2, wavelength=0),
+            Launch(worm=2, delay=4, wavelength=0),
+        ]
+        results, streams, _ = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST,
+            tie_rule=TieRule.LOWEST_ID_WINS,
+        )
+        _assert_identical(results, streams)
+        assert _replayed_positions(
+            worms, launches, CollisionRule.SERVE_FIRST, TieRule.LOWEST_ID_WINS
+        ) == {0: [3], 1: [1], 2: [1]}
+        out = results["python"].outcomes
+        assert out[0].delivered
+        assert out[1].blockers == (0,) and out[2].blockers == (0,)
+        assert out[2].failed_at_link == 1
+
+    def test_occupant_length_sets_its_end(self):
+        # Worm 0 is one flit long: it holds (3, 4) only at t=3, so worm
+        # 1 arriving at t=4 (within the four-flit clash gap) passes.
+        # Worm 2 is four flits long and holds (5, 6) over [4, 7], so
+        # worm 0 dies there at t=5.
+        worms = [
+            Worm(uid=0, path=_LINE, length=1),
+            Worm(uid=1, path=(30, 3, 4, 31), length=4),
+            Worm(uid=2, path=(50, 5, 6, 51), length=4),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=1, delay=3, wavelength=0),
+            Launch(worm=2, delay=3, wavelength=0),
+        ]
+        results, streams, engine = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST
+        )
+        _assert_identical(results, streams)
+        assert _clashed_positions(engine, launches, 0) == [3, 5]
+        assert _replayed_positions(
+            worms, launches, CollisionRule.SERVE_FIRST
+        ) == {0: [5], 2: [1]}
+        out = results["python"].outcomes
+        assert out[0].failed_at_link == 5 and out[0].blockers == (2,)
+        assert out[1].delivered and out[2].delivered
+
+    def test_dark_link_inside_a_clash_cluster(self):
+        # Worms 0 and 1 would tie on (3, 4) at t=3 and worm 2 follows at
+        # t=4, but the link is dark: all three heads fault there, with
+        # no collision. Worm 3 reaches (5, 6) at t=5, where worm 0 would
+        # have tied with it, and is delivered. Nothing is contended, so
+        # nothing replays.
+        worms = [
+            Worm(uid=0, path=_LINE, length=4),
+            Worm(uid=1, path=(30, 3, 4, 31), length=4),
+            Worm(uid=2, path=(40, 3, 4, 41), length=4),
+            Worm(uid=3, path=(50, 5, 6, 51), length=4),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=1, delay=2, wavelength=0),
+            Launch(worm=2, delay=3, wavelength=0),
+            Launch(worm=3, delay=4, wavelength=0),
+        ]
+        results, streams, engine = _all_backends(
+            worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(3, 4)]
+        )
+        _assert_identical(results, streams)
+        assert _clashed_positions(engine, launches, 0) == [3, 5]
+        assert _replayed_positions(
+            worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(3, 4)]
+        ) == {}
+        out = results["python"].outcomes
+        for uid, pos in ((0, 3), (1, 1), (2, 1)):
+            assert out[uid].failure is FailureKind.FAULTED
+            assert out[uid].failed_at_link == pos
+        assert out[3].delivered
+        assert results["python"].collisions == ()
+        assert results["python"].faulted_links == ((3, 4),)
+
+    def test_disagreement_with_the_replay_raises(self, monkeypatch):
+        # The replay is checked against the settle step, never silently
+        # preferred to it: a settle step that kills no one contradicts
+        # the replay's elimination of worm 0.
+        import repro.core.engine as engine_module
+
+        settle = engine_module._settle
+
+        def blind(*args):
+            dead_at, replay = settle(*args)
+            return np.full_like(dead_at, engine_module._ALIVE), replay
+
+        monkeypatch.setattr(engine_module, "_settle", blind)
+        worms = [
+            Worm(uid=0, path=_LINE, length=4),
+            Worm(uid=1, path=(20, 2, 3, 21), length=4),
+        ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=1, delay=0, wavelength=0),
+        ]
+        engine = RoutingEngine(
+            worms, CollisionRule.SERVE_FIRST, backend="vectorized"
+        )
+        with pytest.raises(ProtocolError, match="worm 0: the replay ends it"):
+            engine.run_round(launches)

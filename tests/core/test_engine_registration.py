@@ -5,7 +5,8 @@ pass. It must lay links out exactly as registering the worms one by one
 does -- link ids by first appearance in uid order, which fixes the
 within-step event order and so the order of collisions, faulted links
 and recorder events -- and it must refuse a duplicate uid before
-registering any worm of the call.
+registering any worm of the call. Retirement likewise checks every uid
+before dropping any worm.
 """
 
 from __future__ import annotations
@@ -136,3 +137,27 @@ def test_construction_rejects_duplicate_uid():
             [Worm(uid=4, path=path, length=1), Worm(uid=4, path=path, length=1)],
             CollisionRule.SERVE_FIRST,
         )
+
+
+@pytest.mark.parametrize(
+    "uids, message",
+    [
+        ([0, 7], "cannot retire unknown worm uid 7"),
+        ([0, 0], "worm uid 0 retired twice in one call"),
+    ],
+)
+def test_retire_checks_every_uid_before_dropping_any(worms, uids, message):
+    engine = RoutingEngine(worms[:3], CollisionRule.SERVE_FIRST)
+    engine._event_table()
+    before = _state(engine)
+    with pytest.raises(ProtocolError, match=message):
+        engine.retire_worms(uids)
+    assert _state(engine) == before
+    assert engine._ev_table is not None
+
+
+def test_retire_drops_only_the_named_worms(worms):
+    engine = RoutingEngine(worms[:3], CollisionRule.SERVE_FIRST)
+    engine.retire_worms([2, 0])
+    assert list(engine.worms) == [1]
+    assert list(engine._lid_arrays) == [1]

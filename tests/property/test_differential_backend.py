@@ -10,14 +10,17 @@ collision events and faulted-link order, plus equality of the flight-
 recorder stream and a replay cross-check of vectorized traces.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import RoundCall, RoutingEngine, run_round_batch
+from repro.experiments.workloads import mesh_random_function
 from repro.core.reference import reference_run_round
 from repro.observability.analysis import verify_replay
 from repro.observability.flightrec import FlightRecorder
 from repro.optics.coupler import CollisionRule, TieRule
-from repro.worms.worm import Launch, Worm
+from repro.worms.worm import Launch, Worm, make_worms
 
 NODES = 5
 
@@ -35,12 +38,13 @@ def instances(draw, max_worms=5, max_len=4, max_delay=6, max_bandwidth=2,
     """Random instances exercising every engine feature at once.
 
     Beyond ``test_differential_engine``'s strategy this also draws
-    per-link wavelength tuples (some worms) and a small set of dead
-    links sampled from the union of path links, so fault attribution
-    and the per-link-wavelength event layout are covered too.
+    per-link wavelength tuples (some worms), a length per worm (so an
+    occupant's own length, not the longest worm's, must set when it
+    frees a link), and a small set of dead links sampled from the union
+    of path links, so fault attribution and the per-link-wavelength
+    event layout are covered too.
     """
     n_worms = draw(st.integers(1, max_worms))
-    L = draw(st.integers(1, max_len))
     B = draw(st.integers(1, max_bandwidth))
     worms, launches = [], []
     ranks = draw(st.permutations(range(n_worms)))
@@ -49,7 +53,8 @@ def instances(draw, max_worms=5, max_len=4, max_delay=6, max_bandwidth=2,
             st.lists(st.integers(0, NODES - 1), min_size=2, max_size=NODES,
                      unique=True)
         )
-        worm = Worm(uid=uid, path=tuple(path), length=L)
+        worm = Worm(uid=uid, path=tuple(path),
+                    length=draw(st.integers(1, max_len)))
         worms.append(worm)
         if draw(st.booleans()):
             wavelength = tuple(
@@ -293,3 +298,90 @@ class TestBatchKernelStacking:
             fr2.end_round(result.makespan)
             stacked_streams.append(collector2.records)
         assert solo_streams == stacked_streams
+
+
+#: Seeds of the mesh-scale differential; each draws a random function
+#: on the 6x6 mesh and three rounds of delays and priorities.
+MESH_SEEDS = range(8)
+
+
+def _mesh_case(seed):
+    """Worms of a 6x6-mesh random function (L=4) and their round draws."""
+    worms = make_worms(mesh_random_function(6, 2, rng=seed).paths, 4)
+    rng = np.random.default_rng(seed)
+    delays = rng.integers(0, 6, size=(3, len(worms)))
+    priorities = np.array([rng.permutation(len(worms)) for _ in range(3)])
+    return worms, delays, priorities
+
+
+def _mesh_rounds(cases, rule, tie_rule, backend):
+    """The first three rounds of every case, on one wavelength (B=1).
+
+    Each round relaunches the worms not yet delivered. ``"batch-kernel"``
+    stacks every case's round into one ``run_round_batch`` pass. Returns
+    each case's RoundResults and flight-recorder stream.
+    """
+    engines, recorders, collectors, active = [], [], [], []
+    for worms, _, _ in cases:
+        engines.append(RoutingEngine(
+            worms, rule, tie_rule,
+            backend="batched" if backend == "batch-kernel" else backend,
+        ))
+        collector = _Collector()
+        recorder = FlightRecorder(collector)
+        recorder.describe_worms(worms)
+        collectors.append(collector)
+        recorders.append(recorder)
+        active.append({w.uid for w in worms})
+    results = [[] for _ in cases]
+    for r in range(3):
+        calls = []
+        for (_, delays, priorities), engine, recorder, alive in zip(
+            cases, engines, recorders, active
+        ):
+            recorder.begin_round(r + 1)
+            launches = [
+                Launch(worm=uid, delay=int(delays[r, uid]), wavelength=0,
+                       priority=int(priorities[r, uid]))
+                for uid in sorted(alive)
+            ]
+            calls.append(RoundCall(engine, launches, recorder=recorder))
+        if backend == "batch-kernel":
+            round_results = run_round_batch(calls)
+        else:
+            round_results = [
+                call.engine.run_round(call.launches, recorder=call.recorder)
+                for call in calls
+            ]
+        for i, result in enumerate(round_results):
+            recorders[i].end_round(result.makespan)
+            results[i].append(result)
+            active[i] -= {
+                uid for uid, out in result.outcomes.items() if out.delivered
+            }
+    return results, [collector.records for collector in collectors]
+
+
+class TestMeshScale:
+    """Seeded 6x6-mesh rounds against the replay-all backend.
+
+    Instances of five worms or fewer rarely chain one elimination into
+    another three deep; 36 worms on one wavelength do, so the serve-first
+    settle step meets long cascades here.
+    """
+
+    @pytest.mark.parametrize("rule, tie_rule", RULES)
+    def test_rounds_and_streams_bit_identical(self, rule, tie_rule):
+        cases = [_mesh_case(seed) for seed in MESH_SEEDS]
+        want, want_streams = _mesh_rounds(cases, rule, tie_rule, "python")
+        assert any(
+            result.collisions for rounds in want for result in rounds
+        )
+        for backend in ("vectorized", "batched", "batch-kernel"):
+            got, streams = _mesh_rounds(cases, rule, tie_rule, backend)
+            for seed, a, b in zip(MESH_SEEDS, want, got):
+                assert a == b, (backend, seed)
+                assert [r.faulted_links for r in a] == [
+                    r.faulted_links for r in b
+                ], (backend, seed)
+            assert streams == want_streams, backend
