@@ -49,7 +49,7 @@ from repro.optics import (
     TieRule,
     Router,
 )
-from repro.worms import Worm, Launch, WormOutcome, FailureKind, make_worms
+from repro.worms import Worm, Launch, Launches, WormOutcome, FailureKind, make_worms
 from repro.network import (
     Topology,
     Mesh,
@@ -175,6 +175,7 @@ __all__ = [
     "Router",
     "Worm",
     "Launch",
+    "Launches",
     "WormOutcome",
     "FailureKind",
     "make_worms",

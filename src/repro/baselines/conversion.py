@@ -37,13 +37,13 @@ class ConversionProtocol(TrialAndFailureProtocol):
 
     def _draw_launches(self, active, delta, rng: np.random.Generator) -> list[Launch]:
         base = super()._draw_launches(active, delta, rng)
-        worms = self.engine.worms
+        # The protocol's own worm list, indexed by uid: no per-round copy.
+        worms = self.worms
         out: list[Launch] = []
         for launch in base:
             n_links = worms[launch.worm].n_links
             per_link = tuple(
-                int(w)
-                for w in rng.integers(0, self.config.bandwidth, size=n_links)
+                rng.integers(0, self.config.bandwidth, size=n_links).tolist()
             )
             out.append(
                 Launch(

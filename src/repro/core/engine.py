@@ -53,6 +53,14 @@ under one of two replay policies:
   it. Per-worm run state is built only for worms that the replay, a
   dead link or a flight recorder touches.
 
+A round's launches cross into the engine as
+:class:`~repro.worms.worm.Launches` columns (launch objects are turned
+into columns once, on entry) and its outcomes leave as
+:class:`~repro.core.records.OutcomeColumns`: every worm without run
+state gets its outcome and last step from array arithmetic, and the
+:class:`~repro.core.records.RoundResult` builds its per-worm records
+only when they are read.
+
 So three backend names map onto two policies. ``"vectorized"`` and
 ``"batched"`` resolve identically; ``"batched"`` additionally opts trial
 drivers into lockstep passes over many trials. Within a pass no trial's
@@ -70,20 +78,25 @@ columns into as few int64 words as fit and sorts those.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import abc
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.records import CollisionEvent, CollisionKind, RoundResult
+from repro.core.records import (
+    CollisionEvent,
+    CollisionKind,
+    OutcomeColumns,
+    RoundResult,
+)
 from repro.errors import ProtocolError
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import SpanProfiler, get_profiler
 from repro.optics.coupler import CollisionRule, TieRule, resolve
 from repro.optics.signal import Arrival, Occupancy
-from repro.worms.worm import FailureKind, Launch, Worm, WormOutcome
+from repro.worms.worm import FailureKind, Launch, Launches, Worm
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.observability.flightrec import FlightRecorder
@@ -326,7 +339,7 @@ class _Run:
     replay-clashes policy builds one only for a worm that the scalar
     replay, a dead link or a flight recorder touches; every other worm
     is delivered whole, and :meth:`RoutingEngine._finalise` writes its
-    outcome straight from the worm and its launch.
+    outcome straight from the launch columns.
     """
 
     __slots__ = (
@@ -344,14 +357,22 @@ class _Run:
         "records",
     )
 
-    def __init__(self, worm: Worm, launch: Launch) -> None:
-        self.uid = worm.uid
-        self.length = worm.length
-        self.n_links = worm.n_links
-        self.delay = launch.delay
-        self.wavelength = launch.wavelength
-        self.priority = launch.priority
-        self.cut_len = worm.length
+    def __init__(
+        self,
+        uid: int,
+        length: int,
+        n_links: int,
+        delay: int,
+        wavelength: "int | tuple[int, ...]",
+        priority: int,
+    ) -> None:
+        self.uid = uid
+        self.length = length
+        self.n_links = n_links
+        self.delay = delay
+        self.wavelength = wavelength
+        self.priority = priority
+        self.cut_len = length
         self.dead_at: int | None = None
         self.faulted = False
         # Applied truncations as (event index, cut position, new length);
@@ -361,13 +382,10 @@ class _Run:
         self.records: list[_Record] = []
 
 
-def _check_launch(worm: Worm, launch: Launch) -> None:
+def _check_launch(worm: Worm, delay: int, wl: "int | tuple[int, ...]") -> None:
     """Reject a launch whose delay or wavelengths the engine cannot route."""
-    if launch.delay < 0:
-        raise ProtocolError(
-            f"worm {worm.uid}: negative launch delay {launch.delay}"
-        )
-    wl = launch.wavelength
+    if delay < 0:
+        raise ProtocolError(f"worm {worm.uid}: negative launch delay {delay}")
     if isinstance(wl, tuple):
         if len(wl) != worm.n_links:
             raise ProtocolError(
@@ -380,6 +398,76 @@ def _check_launch(worm: Worm, launch: Launch) -> None:
             )
     elif wl < 0:
         raise ProtocolError(f"worm {worm.uid}: negative wavelength {wl}")
+
+
+class _WormColumns:
+    """The registered worms as columns, in registration order.
+
+    ``start`` and ``count`` locate each worm's rows in the event table;
+    ``length`` and ``uid`` are the worm's own. Built beside the event
+    table and dropped with it.
+    """
+
+    __slots__ = ("uid", "start", "count", "length", "_order", "_sorted")
+
+    def __init__(self, uid, start, count, length) -> None:
+        self.uid = uid
+        self.start = start
+        self.count = count
+        self.length = length
+        self._order = np.argsort(uid, kind="stable")
+        self._sorted = uid[self._order]
+
+    def rows(self, uids: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Each of ``uids``' rows, and whether every one is registered."""
+        n = self._sorted.shape[0]
+        if not n:
+            return np.zeros_like(uids), not uids.shape[0]
+        at = np.searchsorted(self._sorted, uids)
+        np.minimum(at, n - 1, out=at)
+        return self._order[at], bool((self._sorted[at] == uids).all())
+
+
+class _Launched(abc.Sequence):
+    """One round's checked launches beside their worms' columns.
+
+    ``launches`` are the round's :class:`Launches`; ``n_links``,
+    ``length`` and ``start`` (first event-table row) are each launched
+    worm's, in launch order. Indexing and iteration give the launched
+    :class:`Worm` objects.
+    """
+
+    __slots__ = ("launches", "n_links", "length", "start", "_worms")
+
+    def __init__(
+        self,
+        launches: Launches,
+        rows: np.ndarray,
+        table: _WormColumns,
+        worms: dict[int, Worm],
+    ) -> None:
+        self.launches = launches
+        self.n_links = table.count[rows]
+        self.length = table.length[rows]
+        self.start = table.start[rows]
+        self._worms = worms
+
+    def __len__(self) -> int:
+        return len(self.launches)
+
+    def __getitem__(self, k: int) -> Worm:
+        return self._worms[int(self.launches.worm[range(len(self))[k]])]
+
+    def runs(self, rows: np.ndarray | None = None) -> list[_Run]:
+        """Fresh run state for the launch ``rows`` (every row if None)."""
+        cols = self.launches
+        columns = (cols.worm, self.length, self.n_links, cols.delay, cols.priority)
+        if rows is not None:
+            columns = tuple(col[rows] for col in columns)
+        uid, length, n_links, delay, priority = (col.tolist() for col in columns)
+        return list(
+            map(_Run, uid, length, n_links, delay, cols.wavelengths(rows), priority)
+        )
 
 
 def _last_step(run: _Run, last: int) -> int:
@@ -516,9 +604,11 @@ class RoutingEngine:
         self._link_index: dict[tuple, int] = {}
         self._links: list[tuple] = []
         self._lid_arrays: dict[int, np.ndarray] = {}
-        # Lazily built concatenated event table (see _event_table);
-        # invalidated whenever the worm set changes.
+        # Lazily built concatenated event table and, beside it, the
+        # per-worm columns (see _event_table); invalidated whenever the
+        # worm set changes.
         self._ev_table: tuple[np.ndarray, np.ndarray, dict[int, int]] | None = None
+        self._ev_worms: _WormColumns | None = None
         # Bound on every event position (never lowered by retirement).
         self._max_links = 1
         self._register(worms)
@@ -548,6 +638,7 @@ class RoutingEngine:
         clone._links = list(self._links)
         clone._lid_arrays = dict(self._lid_arrays)
         clone._ev_table = self._event_table()
+        clone._ev_worms = self._ev_worms
         clone._max_links = self._max_links
         return clone
 
@@ -586,7 +677,7 @@ class RoutingEngine:
             self._lid_arrays[w.uid] = lids[off:end]
             self._max_links = max(self._max_links, end - off)
             off = end
-        self._ev_table = None
+        self._ev_table = self._ev_worms = None
 
     @property
     def worms(self) -> dict[int, Worm]:
@@ -621,7 +712,7 @@ class RoutingEngine:
                 raise ProtocolError(f"worm uid {uid} retired twice in one call")
             seen.add(uid)
         if uids:
-            self._ev_table = None
+            self._ev_table = self._ev_worms = None
         for uid in uids:
             del self._worms[uid]
             del self._lid_arrays[uid]
@@ -652,37 +743,46 @@ class RoutingEngine:
             [RoundCall(self, launches, collect_collisions, dead_links, recorder)]
         )[0]
 
-    def _launched(self, launches: Sequence[Launch]) -> list[Worm]:
-        """The launched worms, in launch order, after checking every launch.
+    def _launched(self, launches: Sequence[Launch]) -> _Launched:
+        """The round's launches as columns, checked, beside their worms'.
 
-        Set and ``min`` checks clear the common case in one pass; if any
-        fails, the launches are re-walked in order so the first bad one
-        raises its own error.
+        The one point where launch objects become :class:`Launches`
+        columns (columns pass through as they are). Whole-column checks
+        clear the common case; if any fails, the rows are re-walked in
+        order so the first bad launch raises its own error.
         """
-        registered = self._worms
-        uids = [launch.worm for launch in launches]
-        wls = [launch.wavelength for launch in launches]
-        distinct = set(uids)
-        if (
-            len(distinct) == len(uids)
-            and distinct <= registered.keys()
-            and min(launch.delay for launch in launches) >= 0
-            and not any(isinstance(wl, tuple) for wl in wls)
-            and min(wls) >= 0
+        cols = Launches.of(launches)
+        self._event_table()
+        table = self._ev_worms
+        rows, ok = table.rows(cols.worm)
+        if ok:
+            # Distinct uids: their rows mark as many registered worms.
+            seen = np.zeros(table.uid.shape[0], dtype=bool)
+            seen[rows] = True
+            ok = np.count_nonzero(seen) == rows.shape[0]
+        if not (
+            ok
+            and cols.per_link is None
+            and cols.delay.min() >= 0
+            and cols.wavelength.min() >= 0
         ):
-            return [registered[uid] for uid in uids]
-        worms: list[Worm] = []
+            self._check_launches(cols)
+        return _Launched(cols, rows, table, self._worms)
+
+    def _check_launches(self, cols: Launches) -> None:
+        """Walk ``cols`` in order; raise the first bad launch's error."""
+        registered = self._worms
         seen: set[int] = set()
-        for launch in launches:
-            worm = registered.get(launch.worm)
+        for uid, delay, wl in zip(
+            cols.worm.tolist(), cols.delay.tolist(), cols.wavelengths()
+        ):
+            worm = registered.get(uid)
             if worm is None:
-                raise ProtocolError(f"launch names unknown worm uid {launch.worm}")
-            if launch.worm in seen:
-                raise ProtocolError(f"worm uid {launch.worm} launched twice")
-            seen.add(launch.worm)
-            _check_launch(worm, launch)
-            worms.append(worm)
-        return worms
+                raise ProtocolError(f"launch names unknown worm uid {uid}")
+            if uid in seen:
+                raise ProtocolError(f"worm uid {uid} launched twice")
+            seen.add(uid)
+            _check_launch(worm, delay, wl)
 
     def _dead_lids(self, dead_links: Sequence[tuple] | None) -> set[int]:
         """The round's dead directed links as registered link ids."""
@@ -889,10 +989,10 @@ class RoutingEngine:
         t, lid, wl, pos, ri = arrays
         idx = np.flatnonzero(replay)
         lost = np.flatnonzero(faults)
-        worms, launches = slot.worms, call.launches
-        for k in {*ri[idx].tolist(), *ri[lost].tolist()}:
-            if k not in runs:
-                runs[k] = _Run(worms[k], launches[k])
+        launched = slot.launched
+        fresh = sorted({*ri[idx].tolist(), *ri[lost].tolist()}.difference(runs))
+        if fresh:
+            runs.update(zip(fresh, launched.runs(np.array(fresh, dtype=np.int64))))
 
         emitter = _OrderedRecorder() if recorder is not None else None
         contended = 0
@@ -915,7 +1015,7 @@ class RoutingEngine:
                     faulted_at[dlid] = g
 
         if settled is not None:
-            replayed = np.full(len(worms), _ALIVE, dtype=np.int64)
+            replayed = np.full(len(launched), _ALIVE, dtype=np.int64)
             for k, run in runs.items():
                 if run.dead_at is not None:
                     replayed[k] = run.dead_at
@@ -923,7 +1023,7 @@ class RoutingEngine:
             if bad.shape[0]:
                 k = int(bad[0])
                 raise ProtocolError(
-                    f"worm {worms[k].uid}: the replay ends it "
+                    f"worm {launched.launches.worm[k]}: the replay ends it "
                     f"{_where(replayed[k])} but the settle step "
                     f"{_where(settled[k])}"
                 )
@@ -954,7 +1054,7 @@ class RoutingEngine:
     def _record_metrics(
         self,
         metrics: MetricsRegistry,
-        outcomes: dict[int, WormOutcome],
+        result: RoundResult,
         *,
         n_events: int,
         contended: int,
@@ -967,15 +1067,13 @@ class RoutingEngine:
         finalise wall times.
         """
         rule = self.rule.name.lower()
-        # A worm's failure is None exactly when it was delivered.
-        kinds = Counter(o.failure for o in outcomes.values())
         metrics.inc("engine_rounds_total", rule=rule)
         metrics.inc("engine_events_total", n_events, rule=rule)
         metrics.inc("engine_contended_couplers_total", contended, rule=rule)
-        metrics.inc("engine_worms_launched_total", len(outcomes), rule=rule)
-        metrics.inc("engine_delivered_total", kinds[None], rule=rule)
-        for kind in FailureKind:
-            metrics.inc(f"engine_{kind.value}_total", kinds[kind], rule=rule)
+        metrics.inc("engine_worms_launched_total", result.n_launched, rule=rule)
+        metrics.inc("engine_delivered_total", result.n_delivered, rule=rule)
+        for kind, count in result.failure_counts.items():
+            metrics.inc(f"engine_{kind.value}_total", count, rule=rule)
         metrics.inc("engine_free_events_total", free_events, rule=rule)
         metrics.observe("engine_round_seconds", sum(seconds), rule=rule)
         for stage, secs in zip(_STAGES, seconds):
@@ -985,13 +1083,16 @@ class RoutingEngine:
         """Concatenated per-worm link ids and positions plus per-uid offsets.
 
         :meth:`_event_parts` gathers a round's events from this fixed
-        table with one fancy-index pass. Rebuilt lazily after any
+        table with one fancy-index pass. The per-worm columns
+        (``_ev_worms``: uid, table offset, link count, length) are built
+        beside it. Both are rebuilt lazily after any
         ``add_worms``/``retire_worms``.
         """
         table = self._ev_table
         if table is None:
             parts = list(self._lid_arrays.values())
-            counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+            n = len(parts)
+            counts = np.fromiter(map(len, parts), dtype=np.int64, count=n)
             offsets = np.cumsum(counts) - counts
             table = (
                 np.concatenate(parts) if parts else np.empty(0, dtype=np.int64),
@@ -999,51 +1100,56 @@ class RoutingEngine:
                 - np.repeat(offsets, counts),
                 dict(zip(self._lid_arrays, offsets.tolist())),
             )
+            self._ev_worms = _WormColumns(
+                np.fromiter(self._worms, dtype=np.int64, count=n),
+                offsets,
+                counts,
+                np.fromiter(
+                    (w.length for w in self._worms.values()), dtype=np.int64, count=n
+                ),
+            )
             self._ev_table = table
         return table
 
     def _event_parts(
-        self, worms: list[Worm], launches: Sequence[Launch]
+        self, worms: _Launched, launches: Sequence[Launch]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Unsorted event columns ``(t, lid, wl, pos, ri)`` for ``launches``.
 
-        ``worms`` are the launched worms in launch order; ``ri`` indexes
-        them. One vectorized gather from the event table instead of a
-        per-worm loop. Row order is immaterial: the (time, link,
+        ``worms`` are the launched worms' columns, from
+        :meth:`_launched`, and ``launches`` their launch columns
+        (:class:`Launches` pass through :meth:`Launches.of` unchanged);
+        ``ri`` indexes the launch rows. One vectorized gather from the
+        event table. Row order is immaterial: the (time, link,
         wavelength, pos, run) key is unique per event, so the follow-up
         sort fixes the canonical order regardless of input order.
         """
-        ev_lid, ev_pos, spans = self._event_table()
-        k = len(worms)
-        counts = np.fromiter((len(w.path) - 1 for w in worms), dtype=np.int64, count=k)
-        starts = np.fromiter((spans[w.uid] for w in worms), dtype=np.int64, count=k)
-        delays = np.fromiter(
-            (launch.delay for launch in launches), dtype=np.int64, count=k
-        )
+        cols = Launches.of(launches)
+        ev_lid, ev_pos, _ = self._event_table()
+        counts = worms.n_links
         total = int(counts.sum())
-        # Segmented arange: event e of run k gathers table row starts[k]+e.
+        # Segmented arange: event e of run k gathers table row start[k]+e.
         flat0 = np.cumsum(counts) - counts
         idx = np.arange(total, dtype=np.int64)
-        idx += np.repeat(starts - flat0, counts)
+        idx += np.repeat(worms.start - flat0, counts)
         pos = ev_pos[idx]
-        wls = [launch.wavelength for launch in launches]
-        if any(isinstance(w, tuple) for w in wls):
+        if cols.per_link is None:
+            wl = np.repeat(cols.wavelength, counts)
+        else:
             wl = np.fromiter(
                 chain.from_iterable(
                     w if isinstance(w, tuple) else repeat(w, n)
-                    for w, n in zip(wls, counts.tolist())
+                    for w, n in zip(cols.wavelengths(), counts.tolist())
                 ),
                 dtype=np.int64,
                 count=total,
             )
-        else:
-            wl = np.repeat(np.asarray(wls, dtype=np.int64), counts)
         return (
-            pos + np.repeat(delays, counts),
+            pos + np.repeat(cols.delay, counts),
             ev_lid[idx],
             wl,
             pos,
-            np.repeat(np.arange(k, dtype=np.int64), counts),
+            np.repeat(np.arange(len(worms), dtype=np.int64), counts),
         )
 
     @staticmethod
@@ -1077,65 +1183,47 @@ class RoutingEngine:
         raise ProtocolError(f"worm {uid} blocked with no other participant")
 
     @staticmethod
-    def _finalise(slot: "_Slot") -> tuple[dict[int, WormOutcome], int | None]:
-        """Per-worm outcomes (in launch order) and the makespan.
+    def _finalise(slot: "_Slot") -> tuple[OutcomeColumns, int | None]:
+        """Per-worm outcome columns (in launch order) and the makespan.
 
-        A worm without a run was delivered whole: nothing it met could
-        stop or cut it.
+        Every worm starts out delivered whole, its outcome and last step
+        computed for all rows at once; only worms with run state are
+        then visited, and those the round stopped or cut get their own
+        row values. A worm without a run was delivered whole: nothing it
+        met could stop or cut it.
         """
+        launched = slot.launched
+        cols = launched.launches
+        completion = cols.delay + launched.n_links + launched.length - 2
+        end = completion
+        code = np.zeros(len(launched), dtype=np.int8)
+        flits = launched.length.copy()
+        failed_at = np.full(len(launched), -1, dtype=np.int64)
         runs = slot.runs
-        if isinstance(runs, dict):
-            runs = [runs.get(k) for k in range(len(slot.worms))]
-        outcomes: dict[int, WormOutcome] = {}
-        makespan = -1
-        for run, worm, launch in zip(runs, slot.worms, slot.call.launches):
-            if run is None:
-                end = launch.delay + len(worm.path) - 2 + worm.length - 1
-                outcomes[worm.uid] = WormOutcome(
-                    worm=worm.uid,
-                    delivered=True,
-                    delivered_flits=worm.length,
-                    completion_time=end,
-                    blockers=(),
-                )
-            elif run.dead_at is not None:
+        codes = OutcomeColumns.CODES
+        blockers: dict[int, tuple[int, ...]] = {}
+        rows: list[tuple[int, int, int, int, int, int]] = []
+        for k, run in enumerate(runs) if isinstance(runs, list) else runs.items():
+            if run.blockers:
+                blockers[k] = tuple(run.blockers)
+            if run.dead_at is not None:
+                kind = FailureKind.FAULTED if run.faulted else FailureKind.ELIMINATED
                 # A worm lost at its first link never moved a flit.
-                end = _last_step(run, run.dead_at - 1) if run.dead_at else -1
-                outcomes[run.uid] = WormOutcome(
-                    worm=run.uid,
-                    delivered=False,
-                    delivered_flits=0,
-                    failure=(
-                        FailureKind.FAULTED
-                        if run.faulted
-                        else FailureKind.ELIMINATED
-                    ),
-                    failed_at_link=run.dead_at,
-                    blockers=tuple(run.blockers),
-                )
+                last = _last_step(run, run.dead_at - 1) if run.dead_at else -1
+                rows.append((k, codes[kind], 0, -1, run.dead_at, last))
             elif run.cut_len < run.length:
-                end = _last_step(run, run.n_links - 1)
-                completion = run.delay + run.n_links - 1 + run.cut_len - 1
-                outcomes[run.uid] = WormOutcome(
-                    worm=run.uid,
-                    delivered=False,
-                    delivered_flits=run.cut_len,
-                    failure=FailureKind.TRUNCATED,
-                    completion_time=completion,
-                    blockers=tuple(run.blockers),
+                done = run.delay + run.n_links - 1 + run.cut_len - 1
+                last = _last_step(run, run.n_links - 1)
+                rows.append(
+                    (k, codes[FailureKind.TRUNCATED], run.cut_len, done, -1, last)
                 )
-            else:
-                completion = run.delay + run.n_links - 1 + run.length - 1
-                end = completion  # uncut: its last record ends last
-                outcomes[run.uid] = WormOutcome(
-                    worm=run.uid,
-                    delivered=True,
-                    delivered_flits=run.length,
-                    completion_time=completion,
-                    blockers=tuple(run.blockers),
-                )
-            if end > makespan:
-                makespan = end
+        if rows:
+            end = completion.copy()
+            k, *values = (np.array(col, dtype=np.int64) for col in zip(*rows))
+            for col, value in zip((code, flits, completion, failed_at, end), values):
+                col[k] = value
+        makespan = int(end.max())
+        outcomes = OutcomeColumns(cols.worm, code, flits, completion, failed_at, blockers)
         return outcomes, (makespan if makespan >= 0 else None)
 
 
@@ -1176,7 +1264,7 @@ class _Slot:
     """One launched call's state through a :func:`run_round_batch` pass."""
 
     __slots__ = (
-        "index", "call", "engine", "metrics", "worms", "runs", "parts",
+        "index", "call", "engine", "metrics", "launched", "runs", "parts",
         "dead_lids", "seconds", "contended", "free_events", "collisions",
         "faulted_at",
     )
@@ -1192,23 +1280,25 @@ class _Slot:
     def begin(self) -> None:
         """Check the launches and lay out the run state and event columns.
 
-        The replay-all policy gets an eager run list. The replay-clashes
-        policy starts from an empty dict and builds runs as the replay
-        and dead links touch worms, unless a flight recorder needs every
-        run from the launch on.
+        The launches become columns here, once (see
+        :meth:`RoutingEngine._launched`); everything after reads
+        columns. The replay-all policy gets an eager run list. The
+        replay-clashes policy starts from an empty dict and builds runs
+        as the replay and dead links touch worms, unless a flight
+        recorder needs every run from the launch on.
         """
         eng = self.engine
         call = self.call
-        self.worms = worms = eng._launched(call.launches)
+        self.launched = launched = eng._launched(call.launches)
         recorder = call.recorder
         runs = []
         if eng.backend == "python" or recorder is not None:
-            runs = list(map(_Run, worms, call.launches))
+            runs = launched.runs()
         if recorder is not None:
             for run in runs:
                 recorder.launch(run)
         self.runs = runs if eng.backend == "python" else dict(enumerate(runs))
-        self.parts = eng._event_parts(worms, call.launches)
+        self.parts = eng._event_parts(launched, launched.launches)
         self.dead_lids = eng._dead_lids(call.dead_links)
 
 
@@ -1268,12 +1358,13 @@ def _run_round_batch(
         # -- but the round still happened. Record the (all zero) tallies
         # so engine_rounds_total matches the caller's round count
         # instead of silently undercounting.
+        result = RoundResult(outcomes={}, collisions=(), makespan=None)
         if metrics.enabled:
             eng._record_metrics(
-                metrics, {}, n_events=0, contended=0, free_events=0,
+                metrics, result, n_events=0, contended=0, free_events=0,
                 seconds=(0.0, 0.0, 0.0),
             )
-        results[ci] = RoundResult(outcomes={}, collisions=(), makespan=None)
+        results[ci] = result
     if not live:
         return results  # type: ignore[return-value]
     batch_metrics = get_metrics()
@@ -1327,14 +1418,14 @@ def _run_round_batch(
                 eng._links[lid]
                 for lid, _ in sorted(slot.faulted_at.items(), key=lambda kv: kv[1])
             )
-            results[slot.index] = RoundResult(
+            result = results[slot.index] = RoundResult(
                 outcomes=outcomes, collisions=tuple(slot.collisions),
                 makespan=makespan, faulted_links=faulted_links,
             )
             slot.seconds[2] = clock() - start
             if slot.metrics.enabled:
                 eng._record_metrics(
-                    slot.metrics, outcomes, n_events=hi - lo,
+                    slot.metrics, result, n_events=hi - lo,
                     contended=slot.contended, free_events=slot.free_events,
                     seconds=slot.seconds,
                 )
@@ -1366,7 +1457,7 @@ def _sorted_events(
     bounds = [
         int(t.max()) + 1, max(len(eng._links) for eng in engines),
         int(wl.max()) + 1, max(eng._max_links for eng in engines),
-        max(len(slot.worms) for slot in live),
+        max(len(slot.launched) for slot in live),
     ]
     if trial is not None:
         # Trials keep their input blocks, so the sorted trial column is
@@ -1405,10 +1496,7 @@ def _partition(
     t, lid, wl, pos, ri = columns
     radix = int(wl.max()) + 1
     chans = max(len(slot.engine._links) for slot in live) * radix
-    lengths = [
-        np.fromiter((w.length for w in slot.worms), dtype=np.int64, count=len(slot.worms))
-        for slot in live
-    ]
+    lengths = [slot.launched.length for slot in live]
     gaps = np.array([int(length.max()) - 1 for length in lengths])
     chan, gap = lid * radix + wl, gaps[0]
     if trial is not None:
@@ -1418,7 +1506,7 @@ def _partition(
     clashed = _clashed(chan, t, gap, *bounds, order=order)
 
     partitioned = [slot.engine.backend != "python" for slot in live]
-    bases = list(accumulate((len(slot.worms) for slot in live), initial=0))
+    bases = list(accumulate((len(slot.launched) for slot in live), initial=0))
     run = ri if trial is None else ri + np.asarray(bases[:-1])[trial]
     dead_at = np.full(bases[-1], _ALIVE, dtype=np.int64)
     dark = np.zeros(t.shape[0], dtype=bool)
@@ -1454,10 +1542,9 @@ def _partition(
         [slot.engine.tie_rule is TieRule.LOWEST_ID_WINS for slot in live]
     )
     lowest = np.full(sel.shape[0], lowest[0]) if trial is None else lowest[trial[sel]]
-    uid = np.concatenate([
-        np.fromiter((w.uid for w in slot.worms), dtype=np.int64, count=len(slot.worms))
-        for slot in live
-    ]) if lowest.any() else None
+    uid = np.concatenate(
+        [slot.launched.launches.worm for slot in live]
+    ) if lowest.any() else None
     length = np.concatenate(lengths)
     dead_at, chosen = _settle(
         chan[sel], t[sel], pos[sel], run[sel], dark[sel],

@@ -42,7 +42,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -72,7 +72,7 @@ from repro.observability.spans import get_profiler
 from repro.optics.coupler import CollisionRule, TieRule
 from repro.paths import collection as path_collection
 from repro.paths.collection import PathCollection
-from repro.worms.worm import FailureKind, Launch, Worm, make_worms
+from repro.worms.worm import FailureKind, Launch, Launches, Worm, make_worms
 from repro.worms.ack import ack_worms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -235,13 +235,14 @@ def _draw_launches(
     delta: int,
     config: ProtocolConfig,
     rng: np.random.Generator,
-) -> list[Launch]:
+) -> Launches:
     """One round's launches for the ``active`` worms, in their order.
 
     Draws delays in ``[0, delta)``, then wavelengths in
     ``[0, bandwidth)``, then (priority rule, random mode) a priority
-    permutation. The static protocol and the streaming engine both call
-    this, so their draw sequences cannot drift apart.
+    permutation, straight into :class:`Launches` columns. The static
+    protocol and the streaming engine both call this, so their draw
+    sequences cannot drift apart.
     """
     k = len(active)
     delays = rng.integers(0, delta, size=k)
@@ -255,16 +256,8 @@ def _draw_launches(
         else:  # reverse_uid
             priorities = -np.array(active)
     else:
-        priorities = np.zeros(k, dtype=np.int64)
-    return [
-        Launch(
-            worm=uid,
-            delay=int(delays[i]),
-            wavelength=int(wavelengths[i]),
-            priority=int(priorities[i]),
-        )
-        for i, uid in enumerate(active)
-    ]
+        priorities = None
+    return Launches(active, delays, wavelengths, priorities)
 
 
 class TrialAndFailureProtocol:
@@ -383,7 +376,7 @@ class TrialAndFailureProtocol:
 
     def _draw_launches(
         self, active: list[int], delta: int, rng: np.random.Generator
-    ) -> list[Launch]:
+    ) -> Sequence[Launch]:
         """This round's launches; subclasses override to redraw wavelengths."""
         return _draw_launches(active, delta, self.config, rng)
 
@@ -563,7 +556,7 @@ class TrialAndFailureProtocol:
 
     def _prepare_round(
         self, st: _TrialState, current_congestion: int | None
-    ) -> tuple[list[Launch], "list | None"]:
+    ) -> tuple[Sequence[Launch], "list | None"]:
         """Advance to the next round and draw its launches and faults.
 
         ``current_congestion`` is the surviving worms' path congestion
@@ -646,7 +639,7 @@ class TrialAndFailureProtocol:
             st.delivered_round.setdefault(uid, t)
         st.active = [uid for uid in st.active if uid not in acked]
 
-        kinds = Counter(o.failure for o in result.outcomes.values())
+        kinds = result.failure_counts
         duration = st.delta + 2 * st.dl
         observed = max(result.makespan or 0, ack_span) + 1
         st.total_time += duration
@@ -654,7 +647,7 @@ class TrialAndFailureProtocol:
         record = RoundRecord(
             index=t,
             delay_range=st.delta,
-            active_before=len(result.outcomes),
+            active_before=result.n_launched,
             delivered=len(delivered),
             eliminated=kinds[FailureKind.ELIMINATED],
             truncated=kinds[FailureKind.TRUNCATED],

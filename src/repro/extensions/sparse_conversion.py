@@ -90,7 +90,8 @@ class SparseConversionProtocol(TrialAndFailureProtocol):
 
     def _draw_launches(self, active, delta, rng: np.random.Generator) -> list[Launch]:
         base = super()._draw_launches(active, delta, rng)
-        worms = self.engine.worms
+        # The protocol's own worm list, indexed by uid: no per-round copy.
+        worms = self.worms
         out: list[Launch] = []
         B = self.config.bandwidth
         for launch in base:
@@ -108,7 +109,7 @@ class SparseConversionProtocol(TrialAndFailureProtocol):
                 Launch(
                     worm=launch.worm,
                     delay=launch.delay,
-                    wavelength=tuple(int(w) for w in per_link),
+                    wavelength=tuple(per_link.tolist()),
                     priority=launch.priority,
                 )
             )

@@ -710,7 +710,7 @@ class StreamingEngine:
                     admitted=round_admitted,
                     rejected=round_rejected,
                     expired=round_expired,
-                    active_before=len(result.outcomes),
+                    active_before=result.n_launched,
                     delivered=len(delivered),
                     acked=len(acked),
                     duration=duration,

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
-__all__ = ["Worm", "Launch", "WormOutcome", "FailureKind", "make_worms"]
+import numpy as np
+
+__all__ = ["Worm", "Launch", "Launches", "WormOutcome", "FailureKind", "make_worms"]
 
 
 class FailureKind(enum.Enum):
@@ -100,6 +102,100 @@ class Launch:
         if isinstance(self.wavelength, tuple):
             return self.wavelength[pos]
         return self.wavelength
+
+
+class Launches(Sequence):
+    """One round's launches as columns, one row per launched worm.
+
+    ``worm``, ``delay``, ``wavelength`` and ``priority`` are int64
+    arrays of one length: the fields of :class:`Launch`, row by row.
+    ``per_link`` is None, or one entry per row: a tuple of per-link
+    channels (conversion-capable routers, the row's ``wavelength`` entry
+    then unused) or None for a row on its one ``wavelength``. The
+    protocol draws a round straight into these columns and the engine
+    reads them; indexing and iteration give :class:`Launch` objects for
+    readers that want objects. Values are checked where they are used
+    (by :class:`Launch` on indexing, by the engine on a round), not
+    here.
+    """
+
+    __slots__ = ("worm", "delay", "wavelength", "priority", "per_link")
+
+    def __init__(self, worm, delay, wavelength, priority=None, per_link=None) -> None:
+        self.worm = np.asarray(worm, dtype=np.int64)
+        k = self.worm.shape[0]
+        self.delay = np.asarray(delay, dtype=np.int64)
+        self.wavelength = np.asarray(wavelength, dtype=np.int64)
+        self.priority = (
+            np.zeros(k, dtype=np.int64)
+            if priority is None
+            else np.asarray(priority, dtype=np.int64)
+        )
+        self.per_link = None if per_link is None else list(per_link)
+        if self.worm.shape != (k,) or any(
+            col.shape != (k,) for col in (self.delay, self.wavelength, self.priority)
+        ) or (self.per_link is not None and len(self.per_link) != k):
+            raise ValueError("launch columns must be one-dimensional and of one length")
+
+    @classmethod
+    def of(cls, launches: "Sequence[Launch]") -> "Launches":
+        """``launches`` as columns; columns come back unchanged.
+
+        Reads ``worm``, ``delay``, ``wavelength`` and ``priority`` off
+        each launch-shaped object without re-checking them.
+        """
+        if isinstance(launches, cls):
+            return launches
+        k = len(launches)
+        wls = [launch.wavelength for launch in launches]
+        per_link = None
+        if any(isinstance(wl, tuple) for wl in wls):
+            per_link = [wl if isinstance(wl, tuple) else None for wl in wls]
+            wls = [0 if isinstance(wl, tuple) else wl for wl in wls]
+        return cls(
+            np.fromiter((launch.worm for launch in launches), np.int64, count=k),
+            np.fromiter((launch.delay for launch in launches), np.int64, count=k),
+            np.asarray(wls, dtype=np.int64).reshape(k),
+            np.fromiter((launch.priority for launch in launches), np.int64, count=k),
+            per_link,
+        )
+
+    def wavelengths(self, rows: "np.ndarray | None" = None) -> list:
+        """Each row's :attr:`Launch.wavelength`: an int, or a per-link tuple.
+
+        ``rows`` restricts the list to those rows, in their order.
+        """
+        if rows is None:
+            wls, own = self.wavelength.tolist(), self.per_link
+        else:
+            wls = self.wavelength[rows].tolist()
+            own = (
+                None
+                if self.per_link is None
+                else [self.per_link[i] for i in rows.tolist()]
+            )
+        if own is not None:
+            wls = [wl if link is None else link for wl, link in zip(wls, own)]
+        return wls
+
+    def __len__(self) -> int:
+        return self.worm.shape[0]
+
+    def __getitem__(self, i: int) -> Launch:
+        i = range(len(self))[i]
+        own = None if self.per_link is None else self.per_link[i]
+        return Launch(
+            worm=int(self.worm[i]),
+            delay=int(self.delay[i]),
+            wavelength=int(self.wavelength[i]) if own is None else own,
+            priority=int(self.priority[i]),
+        )
+
+    def __iter__(self):
+        return map(
+            Launch, self.worm.tolist(), self.delay.tolist(), self.wavelengths(),
+            self.priority.tolist(),
+        )
 
 
 @dataclass(frozen=True)

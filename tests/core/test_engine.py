@@ -1,11 +1,13 @@
 """Engine mechanics: timing, delivery, bookkeeping, validation."""
 
+import numpy as np
 import pytest
 
-from repro.core.engine import RoutingEngine, run_round
+from repro.core.engine import BACKENDS, RoutingEngine, run_round
 from repro.errors import ProtocolError
 from repro.optics.coupler import CollisionRule, TieRule
-from repro.worms.worm import FailureKind, Launch, Worm
+from repro.worms import worm as worm_module
+from repro.worms.worm import FailureKind, Launch, Launches, Worm
 
 
 def chain_worm(uid=0, n=4, L=3, tag="a"):
@@ -48,6 +50,15 @@ class TestLaunchValidation:
         eng = RoutingEngine([chain_worm(uid=0, n=4)], CollisionRule.SERVE_FIRST)
         with pytest.raises(ProtocolError):
             eng.run_round([Launch(worm=0, delay=0, wavelength=(0, 1))])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_launch_after_every_worm_retired_rejected(self, backend):
+        eng = RoutingEngine(
+            [chain_worm(uid=0)], CollisionRule.SERVE_FIRST, backend=backend
+        )
+        eng.retire_worms([0])
+        with pytest.raises(ProtocolError, match="unknown worm uid 0"):
+            eng.run_round([Launch(worm=0, delay=0, wavelength=0)])
 
 
 class TestSoloDelivery:
@@ -241,3 +252,36 @@ class TestRoundResultViews:
         assert res.delivered == [0]
         assert res.failed == [1]
         assert res.n_delivered == 1 and res.n_failed == 1
+
+
+class TestLazyOutcomes:
+    """A round's outcome records are built only when ``outcomes`` is read."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_clash_free_round_builds_no_outcome_until_read(
+        self, backend, monkeypatch
+    ):
+        # Eight worms on disjoint chains: no event shares a channel.
+        worms = [chain_worm(uid=i, n=3, tag=i) for i in range(8)]
+        built = []
+        post_init = worm_module.WormOutcome.__post_init__
+
+        def counting(outcome):
+            built.append(outcome.worm)
+            post_init(outcome)
+
+        monkeypatch.setattr(worm_module.WormOutcome, "__post_init__", counting)
+        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST, backend=backend)
+        result = engine.run_round(
+            Launches(worm=np.arange(8), delay=np.arange(8) % 3,
+                     wavelength=np.zeros(8))
+        )
+        assert result.delivered == list(range(8))
+        assert result.n_delivered == 8 and result.n_failed == 0
+        assert set(result.failure_counts.values()) == {0}
+        assert result.makespan == 2 + 2 + 3 - 1
+        assert built == []
+        assert list(result.outcomes) == list(range(8))
+        assert built == list(range(8))
+        result.outcomes
+        assert len(built) == 8

@@ -8,15 +8,17 @@ records, pooled aggregation is bit-identical to serial, and the disabled
 
 import time
 
+import numpy as np
 import pytest
 
-from repro.core.engine import RoutingEngine
+from repro.core.engine import BACKENDS, RoutingEngine
 from repro.core.protocol import route_collection
 from repro.observability.metrics import MetricsRegistry
-from repro.optics.coupler import CollisionRule
+from repro.experiments.workloads import mesh_random_function
+from repro.optics.coupler import CollisionRule, TieRule
 from repro.paths.gadgets import type2_bundle
 from repro.runners import route_collection_trials
-from repro.worms.worm import Launch, Worm
+from repro.worms.worm import FailureKind, Launch, Worm, make_worms
 
 
 def _two_worm_setup():
@@ -72,6 +74,80 @@ class TestEngineMetrics:
             engine.run_round(launches)
         assert reg.value("engine_rounds_total", rule="serve_first") == 3
         assert reg.value("engine_worms_launched_total", rule="serve_first") == 6
+
+
+#: Engine counters of one instrumented 6x6-mesh round (see
+#: ``_mesh_round``), recorded when the tallies were still taken from a
+#: ``Counter`` over the built outcome dict; the columnar tallies must
+#: reproduce them. Only ``engine_free_events_total`` depends on the
+#: backend: the python backend replays every event.
+_MESH_COUNTERS = {
+    CollisionRule.SERVE_FIRST: {
+        "engine_contended_couplers_total": 13,
+        "engine_delivered_total": 19,
+        "engine_eliminated_total": 16,
+        "engine_events_total": 136,
+        "engine_faulted_total": 1,
+        "engine_free_events_total": 111,
+        "engine_rounds_total": 1,
+        "engine_truncated_total": 0,
+        "engine_worms_launched_total": 36,
+    },
+    CollisionRule.PRIORITY: {
+        "engine_contended_couplers_total": 16,
+        "engine_delivered_total": 20,
+        "engine_eliminated_total": 10,
+        "engine_events_total": 136,
+        "engine_faulted_total": 1,
+        "engine_free_events_total": 83,
+        "engine_rounds_total": 1,
+        "engine_truncated_total": 5,
+        "engine_worms_launched_total": 36,
+    },
+}
+
+
+def _mesh_round(rule, backend, registry):
+    """One round of a 6x6-mesh random function on one wavelength, one link down."""
+    worms = make_worms(mesh_random_function(6, 2, rng=3).paths, 4)
+    rng = np.random.default_rng(7)
+    delays = rng.integers(0, 6, size=len(worms))
+    priorities = rng.permutation(len(worms))
+    launches = [
+        Launch(worm=w.uid, delay=int(delays[w.uid]), wavelength=0,
+               priority=int(priorities[w.uid]))
+        for w in worms
+    ]
+    engine = RoutingEngine(
+        worms, rule, TieRule.ALL_LOSE, metrics=registry, backend=backend
+    )
+    return engine.run_round(launches, dead_links=[worms[0].links()[1]])
+
+
+class TestColumnarTallies:
+    """Instrumented rounds tally outcomes from the engine's columns."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("rule", list(CollisionRule))
+    def test_mesh_round_snapshot_unchanged(self, rule, backend):
+        reg = MetricsRegistry()
+        result = _mesh_round(rule, backend, reg)
+        want = dict(_MESH_COUNTERS[rule])
+        if backend == "python":
+            want["engine_free_events_total"] = 0
+        snapshot = reg.snapshot(kinds=("counter",))
+        got = {
+            name: entry["values"]["rule=" + rule.name.lower()]
+            for name, entry in snapshot.items()
+        }
+        assert got == want
+        # The same tallies taken the old way, from the outcome dict.
+        outcomes = result.outcomes.values()
+        assert got["engine_delivered_total"] == sum(o.delivered for o in outcomes)
+        for kind in FailureKind:
+            assert got[f"engine_{kind.value}_total"] == sum(
+                o.failure is kind for o in outcomes
+            )
 
 
 class TestProtocolMetrics:

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import RoundCall, RoutingEngine, run_round_batch
+from repro.core.engine import BACKENDS, RoundCall, RoutingEngine, run_round_batch
 from repro.experiments.workloads import mesh_random_function
 from repro.core.reference import reference_run_round
 from repro.observability.analysis import verify_replay
 from repro.observability.flightrec import FlightRecorder
 from repro.optics.coupler import CollisionRule, TieRule
-from repro.worms.worm import Launch, Worm, make_worms
+from repro.worms.worm import Launch, Launches, Worm, make_worms
 
 NODES = 5
 
@@ -298,6 +298,72 @@ class TestBatchKernelStacking:
             fr2.end_round(result.makespan)
             stacked_streams.append(collector2.records)
         assert solo_streams == stacked_streams
+
+
+def _as_columns(launches):
+    """``launches`` built straight as columns, not through ``Launches.of``."""
+    wls = [launch.wavelength for launch in launches]
+    tuples = [wl if isinstance(wl, tuple) else None for wl in wls]
+    return Launches(
+        worm=np.array([launch.worm for launch in launches], dtype=np.int64),
+        delay=np.array([launch.delay for launch in launches], dtype=np.int64),
+        wavelength=np.array(
+            [0 if isinstance(wl, tuple) else wl for wl in wls], dtype=np.int64
+        ),
+        priority=np.array([launch.priority for launch in launches], dtype=np.int64),
+        per_link=tuples if any(tuples) else None,
+    )
+
+
+class TestColumnarLaunches:
+    """A round launched as columns equals the round launched as objects.
+
+    Every backend, under every rule and tie rule, with per-link
+    wavelength tuples, dead links and a flight recorder: the two forms
+    give equal RoundResults, outcomes in the same order, the same
+    recorder stream, and the flit-level oracle's observables.
+    """
+
+    @given(instances(), st.sampled_from(RULES), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_columns_match_objects(self, inst, rules, record):
+        worms, launches, dead_links = inst
+        rule, tie_rule = rules
+        columns = _as_columns(launches)
+        assert list(columns) == launches
+        for backend in BACKENDS:
+            got = []
+            for form in (launches, columns):
+                collector = _Collector() if record else None
+                recorder = None
+                if record:
+                    recorder = FlightRecorder(collector)
+                    recorder.describe_worms(worms)
+                    recorder.begin_round(1)
+                result = _round(worms, form, rule, tie_rule, backend,
+                                dead_links, recorder=recorder)
+                if record:
+                    recorder.end_round(result.makespan)
+                got.append((result, collector and collector.records))
+            (a, stream_a), (b, stream_b) = got
+            assert a == b, (backend, a, b)
+            assert list(a.outcomes) == list(b.outcomes) == [
+                launch.worm for launch in launches
+            ]
+            assert a.faulted_links == b.faulted_links
+            assert a.failure_counts == b.failure_counts
+            assert stream_a == stream_b, backend
+        slow = reference_run_round(worms, columns, rule, tie_rule,
+                                   dead_links=dead_links or None)
+        assert list(slow.outcomes) == list(b.outcomes)
+        for uid, s in slow.outcomes.items():
+            f = b.outcomes[uid]
+            assert f.delivered == s.delivered, (uid, f, s)
+            assert f.delivered_flits == s.delivered_flits, (uid, f, s)
+            assert f.failure == s.failure, (uid, f, s)
+            assert f.failed_at_link == s.failed_at_link, (uid, f, s)
+            assert f.completion_time == s.completion_time, (uid, f, s)
+        assert b.makespan == slow.makespan
 
 
 #: Seeds of the mesh-scale differential; each draws a random function
