@@ -81,6 +81,7 @@ import time
 from collections import abc
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -96,6 +97,7 @@ from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import SpanProfiler, get_profiler
 from repro.optics.coupler import CollisionRule, TieRule, resolve
 from repro.optics.signal import Arrival, Occupancy
+from repro.paths.layout import LinkLayout, LinkUniverse, assign_link_ids
 from repro.worms.worm import FailureKind, Launch, Launches, Worm
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -120,6 +122,8 @@ _default_backend = "python"
 #: is a meaningful value there ("use the process default registry"), so
 #: "inherit the parent's" needs its own marker.
 _INHERIT = object()
+
+_UID, _LENGTH, _PATH = map(attrgetter, ("uid", "length", "path"))
 
 #: The timed stages of a pass, in order; each is one child span of
 #: ``engine.round``.
@@ -404,28 +408,38 @@ class _WormColumns:
     """The registered worms as columns, in registration order.
 
     ``start`` and ``count`` locate each worm's rows in the event table;
-    ``length`` and ``uid`` are the worm's own. Built beside the event
-    table and dropped with it.
+    ``length`` and ``uid`` are the worm's own. Replaced with the event
+    table whenever the worm set changes; the uid lookup behind
+    :meth:`rows` is sorted on first use.
     """
 
-    __slots__ = ("uid", "start", "count", "length", "_order", "_sorted")
+    __slots__ = ("uid", "start", "count", "length", "_index")
 
     def __init__(self, uid, start, count, length) -> None:
         self.uid = uid
         self.start = start
         self.count = count
         self.length = length
-        self._order = np.argsort(uid, kind="stable")
-        self._sorted = uid[self._order]
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     def rows(self, uids: np.ndarray) -> tuple[np.ndarray, bool]:
         """Each of ``uids``' rows, and whether every one is registered."""
-        n = self._sorted.shape[0]
+        if self._index is None:
+            order = np.argsort(self.uid, kind="stable")
+            self._index = (order, self.uid[order])
+        order, ranked = self._index
+        n = ranked.shape[0]
         if not n:
             return np.zeros_like(uids), not uids.shape[0]
-        at = np.searchsorted(self._sorted, uids)
+        at = np.searchsorted(ranked, uids)
         np.minimum(at, n - 1, out=at)
-        return self._order[at], bool((self._sorted[at] == uids).all())
+        return order[at], bool((ranked[at] == uids).all())
+
+
+#: The link ids of an engine without worms (arrays are never written in
+#: place, so every engine starts from this one).
+_NONE = np.empty(0, dtype=np.int64)
+_NONE.flags.writeable = False
 
 
 class _Launched(abc.Sequence):
@@ -543,7 +557,7 @@ class _OrderedRecorder:
 class RoutingEngine:
     """Routes a set of worms; reusable across rounds.
 
-    Construction precomputes each worm's directed-link ids once; each
+    Construction lays out each worm's directed-link ids once; each
     :meth:`run_round` call takes fresh launches (delays, wavelengths,
     priorities) for any subset of the worms. The set is not frozen:
     streaming callers admit arriving worms with :meth:`add_worms` and
@@ -552,6 +566,13 @@ class RoutingEngine:
     registration order and retained across retirement, so a static
     batch and an incrementally grown one that registered the same worms
     in the same order behave bit-identically on every backend.
+
+    ``layout`` optionally gives the worms' paths already compiled (a
+    :class:`~repro.paths.layout.LinkLayout` whose row ``k`` is the path
+    of ``worms[k]``, typically a
+    :attr:`~repro.paths.collection.PathCollection.layout`); the engine
+    then builds its link ids and event table from its arrays without
+    walking a path. Without it the worms' paths are compiled here.
 
     ``metrics`` optionally names the registry that receives per-round
     instrumentation (events generated, contended couplers, outcome
@@ -584,6 +605,7 @@ class RoutingEngine:
         metrics: MetricsRegistry | None = None,
         backend: str | None = None,
         profiler: "SpanProfiler | None" = None,
+        layout: LinkLayout | None = None,
     ) -> None:
         if not worms:
             raise ProtocolError("the engine needs at least one worm")
@@ -601,83 +623,109 @@ class RoutingEngine:
         self._metrics = metrics
         self._profiler = profiler
         self._worms: dict[int, Worm] = {}
-        self._link_index: dict[tuple, int] = {}
-        self._links: list[tuple] = []
-        self._lid_arrays: dict[int, np.ndarray] = {}
-        # Lazily built concatenated event table and, beside it, the
-        # per-worm columns (see _event_table); invalidated whenever the
-        # worm set changes.
-        self._ev_table: tuple[np.ndarray, np.ndarray, dict[int, int]] | None = None
+        self._universe = LinkUniverse([]) if layout is None else layout.universe
+        # Global link id -> local id (-1: unused) and local id -> global
+        # id; _links names the links on first use.
+        self._local = self._gids = _NONE
+        self._link_list: list[tuple] | None = []
+        # The event table -- every registered worm's link ids, worm after
+        # worm in registration order -- and beside it the worm columns
+        # (None until the first registration).
+        self._ev_table = _NONE
         self._ev_worms: _WormColumns | None = None
         # Bound on every event position (never lowered by retirement).
         self._max_links = 1
-        self._register(worms)
+        self._register(worms, layout)
 
     def fork(self, metrics: "MetricsRegistry | None" = _INHERIT) -> "RoutingEngine":
-        """A new engine sharing this one's precomputed link layout.
+        """A new engine sharing this one's link layout.
 
         Bit-identical to constructing a fresh engine over the same worms
-        in the same order -- link ids, per-worm arrays and registration
-        order are copied, not recomputed -- at a fraction of the cost.
-        The lockstep trial driver uses this to stamp out one engine per
-        trial of a shared collection. Registries are dict copies, so
-        streaming ``add_worms``/``retire_worms`` on either engine never
-        affects the other; the per-worm numpy arrays and the event table
-        are shared read-only. ``metrics`` overrides the fork's registry (pass None
-        for the process default); omitted, the fork inherits this
-        engine's.
+        in the same order. The lockstep trial driver uses this to stamp
+        out one engine per trial of a shared collection. The worm
+        registry is a dict copy, so streaming
+        ``add_worms``/``retire_worms`` on either engine never affects
+        the other; the link ids, event table and per-worm columns are
+        shared read-only (both calls replace them, never write into
+        them). ``metrics`` overrides the fork's registry (pass None for
+        the process default); omitted, the fork inherits this engine's.
         """
         clone = RoutingEngine.__new__(RoutingEngine)
-        clone.backend = self.backend
-        clone.rule = self.rule
-        clone.tie_rule = self.tie_rule
+        clone.__dict__.update(self.__dict__)
         clone._metrics = self._metrics if metrics is _INHERIT else metrics
-        clone._profiler = self._profiler
         clone._worms = dict(self._worms)
-        clone._link_index = dict(self._link_index)
-        clone._links = list(self._links)
-        clone._lid_arrays = dict(self._lid_arrays)
-        clone._ev_table = self._event_table()
-        clone._ev_worms = self._ev_worms
-        clone._max_links = self._max_links
         return clone
 
-    def _register(self, worms: Sequence[Worm]) -> None:
+    @property
+    def _links(self) -> list[tuple]:
+        """Local link id -> directed link."""
+        if self._link_list is None:
+            self._link_list = self._universe.of(self._gids)
+        return self._link_list
+
+    def _register(self, worms: Sequence[Worm], layout: LinkLayout | None) -> None:
         """Register ``worms`` in one pass (construction and ``add_worms``).
 
         Every uid is checked before any worm is registered, so a call
         naming a duplicate (within itself or of a registered worm)
-        leaves the engine unchanged. New links get ids in order of first
-        appearance, worm by worm; the per-worm link-id arrays are views
-        into one array.
+        leaves the engine unchanged. ``layout`` holds the worms' paths
+        compiled (they are compiled over the engine's link universe when
+        it is None). New links get local ids in order of first
+        appearance, worm by worm (:func:`assign_link_ids`; an engine's
+        first registration takes the layout's cached
+        :meth:`~repro.paths.layout.LinkLayout.numbered`), and the
+        worms' rows are appended to the event table and worm columns.
         """
-        seen: set[int] = set()
-        for w in worms:
-            if w.uid in self._worms or w.uid in seen:
-                raise ProtocolError(f"duplicate worm uid {w.uid}")
-            seen.add(w.uid)
-        if not worms:
+        n = len(worms)
+        if not n:
             return
-        index = self._link_index
-        links = self._links
-        flat: list[int] = []
-        for w in worms:
-            path = w.path
-            for link in zip(path, path[1:]):
-                lid = index.get(link)
-                if lid is None:
-                    lid = index[link] = len(links)
-                    links.append(link)
-                flat.append(lid)
-        lids = np.asarray(flat, dtype=np.int64)
-        off = 0
-        for w in worms:
-            end = off + len(w.path) - 1
-            self._worms[w.uid] = w
-            self._lid_arrays[w.uid] = lids[off:end]
-            self._max_links = max(self._max_links, end - off)
-            off = end
-        self._ev_table = self._ev_worms = None
+        uids = list(map(_UID, worms))
+        if len(set(uids)) != n or not self._worms.keys().isdisjoint(uids):
+            seen = set(self._worms)
+            for w in worms:
+                if w.uid in seen:
+                    raise ProtocolError(f"duplicate worm uid {w.uid}")
+                seen.add(w.uid)
+        cols = self._ev_worms
+        uid = np.array(uids, dtype=np.int64)
+        length = np.fromiter(map(_LENGTH, worms), dtype=np.int64, count=n)
+        if layout is None:
+            layout = LinkLayout.compile(list(map(_PATH, worms)), self._universe)
+        elif len(layout) != n:
+            raise ProtocolError(
+                f"the layout lays out {len(layout)} paths for {n} worms"
+            )
+        first = cols is None
+        table = (
+            _WormColumns(uid, layout.start, layout.count, length)
+            if first
+            else _WormColumns(
+                np.concatenate([cols.uid, uid]),
+                np.concatenate(
+                    [cols.start, layout.start + self._ev_table.shape[0]]
+                ),
+                np.concatenate([cols.count, layout.count]),
+                np.concatenate([cols.length, length]),
+            )
+        )
+        self._universe = layout.universe
+        if self._gids.shape[0]:
+            lids, self._local, new = assign_link_ids(
+                layout.flat, self._local, self._gids.shape[0]
+            )
+            if new.shape[0]:
+                self._gids = np.concatenate([self._gids, new])
+                if self._link_list is not None:
+                    # A new list: forks may share the old one.
+                    self._link_list = self._link_list + self._universe.of(new)
+        else:
+            self._local, self._gids = layout.numbered()
+            lids = self._local[layout.flat]
+            self._link_list = None
+        self._max_links = max(self._max_links, int(layout.count.max()))
+        self._ev_table = lids if first else np.concatenate([self._ev_table, lids])
+        self._ev_worms = table
+        self._worms.update(zip(uids, worms))
 
     @property
     def worms(self) -> dict[int, Worm]:
@@ -691,17 +739,18 @@ class RoutingEngine:
         ids never move, so rounds before and after an admission see the
         same per-link identities on every backend.
         """
-        self._register(worms)
+        self._register(worms, None)
 
     def retire_worms(self, uids: Sequence[int]) -> None:
         """Drop delivered or expired worms' per-worm state.
 
         Link ids stay registered (links are shared between worms and the
         id order is what keeps incremental and static runs
-        bit-identical); only the per-worm arrays are released, so a
-        long-running engine's memory tracks the *active* population.
-        Every uid is checked before any worm is dropped, so a call
-        naming an unknown or repeated uid leaves the engine unchanged.
+        bit-identical); only the worms' event-table rows are released,
+        so a long-running engine's memory tracks the *active*
+        population. Every uid is checked before any worm is dropped, so
+        a call naming an unknown or repeated uid leaves the engine
+        unchanged.
         """
         uids = list(uids)
         seen: set[int] = set()
@@ -711,11 +760,18 @@ class RoutingEngine:
             if uid in seen:
                 raise ProtocolError(f"worm uid {uid} retired twice in one call")
             seen.add(uid)
-        if uids:
-            self._ev_table = self._ev_worms = None
+        if not uids:
+            return
+        cols = self._ev_worms
+        keep = np.ones(cols.uid.shape[0], dtype=bool)
+        keep[cols.rows(np.array(uids, dtype=np.int64))[0]] = False
+        count = cols.count[keep]
+        self._ev_table = self._ev_table[np.repeat(keep, cols.count)]
+        self._ev_worms = _WormColumns(
+            cols.uid[keep], np.cumsum(count) - count, count, cols.length[keep]
+        )
         for uid in uids:
             del self._worms[uid]
-            del self._lid_arrays[uid]
 
     def run_round(
         self,
@@ -752,7 +808,6 @@ class RoutingEngine:
         order so the first bad launch raises its own error.
         """
         cols = Launches.of(launches)
-        self._event_table()
         table = self._ev_worms
         rows, ok = table.rows(cols.worm)
         if ok:
@@ -788,11 +843,12 @@ class RoutingEngine:
         """The round's dead directed links as registered link ids."""
         dead_lids: set[int] = set()
         if dead_links:
-            index = self._link_index
+            index = self._universe.index
+            local = self._local
             for link in dead_links:
-                lid = index.get(tuple(link))
-                if lid is not None:
-                    dead_lids.add(lid)
+                g = index.get(tuple(link))
+                if g is not None and g < local.shape[0] and local[g] >= 0:
+                    dead_lids.add(int(local[g]))
         return dead_lids
 
     def _resolve_scalar(
@@ -1079,38 +1135,6 @@ class RoutingEngine:
         for stage, secs in zip(_STAGES, seconds):
             metrics.observe("engine_stage_seconds", secs, stage=stage)
 
-    def _event_table(self) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-        """Concatenated per-worm link ids and positions plus per-uid offsets.
-
-        :meth:`_event_parts` gathers a round's events from this fixed
-        table with one fancy-index pass. The per-worm columns
-        (``_ev_worms``: uid, table offset, link count, length) are built
-        beside it. Both are rebuilt lazily after any
-        ``add_worms``/``retire_worms``.
-        """
-        table = self._ev_table
-        if table is None:
-            parts = list(self._lid_arrays.values())
-            n = len(parts)
-            counts = np.fromiter(map(len, parts), dtype=np.int64, count=n)
-            offsets = np.cumsum(counts) - counts
-            table = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.int64),
-                np.arange(int(counts.sum()), dtype=np.int64)
-                - np.repeat(offsets, counts),
-                dict(zip(self._lid_arrays, offsets.tolist())),
-            )
-            self._ev_worms = _WormColumns(
-                np.fromiter(self._worms, dtype=np.int64, count=n),
-                offsets,
-                counts,
-                np.fromiter(
-                    (w.length for w in self._worms.values()), dtype=np.int64, count=n
-                ),
-            )
-            self._ev_table = table
-        return table
-
     def _event_parts(
         self, worms: _Launched, launches: Sequence[Launch]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -1120,19 +1144,18 @@ class RoutingEngine:
         :meth:`_launched`, and ``launches`` their launch columns
         (:class:`Launches` pass through :meth:`Launches.of` unchanged);
         ``ri`` indexes the launch rows. One vectorized gather from the
-        event table. Row order is immaterial: the (time, link,
-        wavelength, pos, run) key is unique per event, so the follow-up
-        sort fixes the canonical order regardless of input order.
+        event table (``_ev_table``). Row order is immaterial: the (time,
+        link, wavelength, pos, run) key is unique per event, so the
+        follow-up sort fixes the canonical order regardless of input
+        order.
         """
         cols = Launches.of(launches)
-        ev_lid, ev_pos, _ = self._event_table()
         counts = worms.n_links
         total = int(counts.sum())
-        # Segmented arange: event e of run k gathers table row start[k]+e.
-        flat0 = np.cumsum(counts) - counts
-        idx = np.arange(total, dtype=np.int64)
-        idx += np.repeat(worms.start - flat0, counts)
-        pos = ev_pos[idx]
+        # Event e of run k is at position e and gathers table row start[k]+e.
+        pos = np.arange(total, dtype=np.int64)
+        pos -= np.repeat(np.cumsum(counts) - counts, counts)
+        lid = self._ev_table[pos + np.repeat(worms.start, counts)]
         if cols.per_link is None:
             wl = np.repeat(cols.wavelength, counts)
         else:
@@ -1146,7 +1169,7 @@ class RoutingEngine:
             )
         return (
             pos + np.repeat(cols.delay, counts),
-            ev_lid[idx],
+            lid,
             wl,
             pos,
             np.repeat(np.arange(len(worms), dtype=np.int64), counts),
@@ -1414,8 +1437,9 @@ def _run_round_batch(
             start = clock()
             eng = slot.engine
             outcomes, makespan = eng._finalise(slot)
+            links, gids = eng._universe.links, eng._gids
             faulted_links = tuple(
-                eng._links[lid]
+                links[gids[lid]]
                 for lid, _ in sorted(slot.faulted_at.items(), key=lambda kv: kv[1])
             )
             result = results[slot.index] = RoundResult(
@@ -1455,7 +1479,7 @@ def _sorted_events(
     keys = columns
     engines = [slot.engine for slot in live]
     bounds = [
-        int(t.max()) + 1, max(len(eng._links) for eng in engines),
+        int(t.max()) + 1, max(eng._gids.shape[0] for eng in engines),
         int(wl.max()) + 1, max(eng._max_links for eng in engines),
         max(len(slot.launched) for slot in live),
     ]
@@ -1495,7 +1519,7 @@ def _partition(
     """
     t, lid, wl, pos, ri = columns
     radix = int(wl.max()) + 1
-    chans = max(len(slot.engine._links) for slot in live) * radix
+    chans = max(slot.engine._gids.shape[0] for slot in live) * radix
     lengths = [slot.launched.length for slot in live]
     gaps = np.array([int(length.max()) - 1 for length in lengths])
     chan, gap = lid * radix + wl, gaps[0]
@@ -1514,7 +1538,7 @@ def _partition(
     if any(own and slot.dead_lids for slot, own in zip(live, partitioned)):
         for slot, lo, hi, own in zip(live, rows, rows[1:], partitioned):
             if own and slot.dead_lids:
-                down = np.zeros(len(slot.engine._links), dtype=bool)
+                down = np.zeros(slot.engine._gids.shape[0], dtype=bool)
                 down[list(slot.dead_lids)] = True
                 dark[lo:hi] = down[lid[lo:hi]]
         quiet_dark = dark & ~clashed

@@ -65,7 +65,12 @@ from repro.core.schedule import DelaySchedule, GeometricSchedule, ScheduleContex
 from repro.errors import ProtocolError
 from repro.faults.health import LinkHealthMonitor, StallDetector
 from repro.faults.models import FaultModel
-from repro.faults.repair import collection_links, reroute_path, surviving_graph
+from repro.faults.repair import (
+    collection_links,
+    cut_links,
+    reroute_path,
+    surviving_graph,
+)
 from repro.observability.logconf import get_logger
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
@@ -222,6 +227,8 @@ class _TrialState:
         "dl",
         "fault_run",
         "monitor",
+        "surviving",
+        "cut",
         "stall",
         "completed",
         "t",
@@ -335,7 +342,7 @@ class TrialAndFailureProtocol:
             )
             self._base_ctx = share._base_ctx
         else:
-            self._build_engines(self.worms)
+            self._build_engines(self.worms, collection)
             self._base_ctx = ScheduleContext(
                 n=collection.n,
                 bandwidth=config.bandwidth,
@@ -345,12 +352,15 @@ class TrialAndFailureProtocol:
             )
         self._repaired = False
 
-    def _build_engines(self, worms: list[Worm]) -> None:
+    def _build_engines(self, worms: list[Worm], collection: PathCollection) -> None:
         """(Re)build the forward and ack engines for ``worms``.
 
-        Called at construction and again after a reroute repair replaces
-        stranded worms' paths (uids and lengths are stable; only paths
-        change).
+        ``collection`` holds the worms' paths (``worms[k]`` routes path
+        ``k``); both engines build from its compiled
+        :attr:`~repro.paths.collection.PathCollection.layout`, the ack
+        engine from the layout run backwards. Called at construction
+        and again after a reroute repair replaces stranded worms' paths
+        (uids and lengths are stable; only paths change).
         """
         config = self.config
         self.engine = RoutingEngine(
@@ -359,6 +369,7 @@ class TrialAndFailureProtocol:
             config.tie_rule,
             metrics=self._metrics,
             backend=config.backend,
+            layout=collection.layout,
         )
         self._ack_engine: RoutingEngine | None = None
         if config.ack_mode == "simulated":
@@ -370,6 +381,7 @@ class TrialAndFailureProtocol:
                 config.tie_rule,
                 metrics=self._metrics,
                 backend=config.backend,
+                layout=collection.layout.reversed(),
             )
 
     # -- round internals -----------------------------------------------------
@@ -381,73 +393,78 @@ class TrialAndFailureProtocol:
         return _draw_launches(active, delta, self.config, rng)
 
     def _route_acks(
-        self, delivered: list[int], fwd_outcomes, rng: np.random.Generator
+        self, result, rng: np.random.Generator
     ) -> tuple[set[int], int]:
-        """Simulated acks: returns (acked uids, ack makespan)."""
+        """Simulated acks for ``result``'s deliveries: (acked uids, ack makespan).
+
+        Reads the delivered worms' completion times off the round's
+        outcome columns, so no per-worm outcome record is built.
+        """
         assert self._ack_engine is not None
-        if not delivered:
+        cols = result.columns
+        done = cols.code == 0
+        delivered = cols.worm[done]
+        if not delivered.shape[0]:
             return set(), 0
+        ranks = rng.permutation(delivered.shape[0])
+        # One scalar draw per ack, in delivery order, as the ack stream
+        # has always drawn them.
+        bandwidth = self.config.bandwidth
+        wavelengths = [int(rng.integers(0, bandwidth)) for _ in range(ranks.shape[0])]
         offset = len(self.worms)
-        launches = []
-        ranks = rng.permutation(len(delivered))
-        for i, uid in enumerate(delivered):
-            completion = fwd_outcomes[uid].completion_time
-            launches.append(
-                Launch(
-                    worm=uid + offset,
-                    delay=completion + 1,
-                    wavelength=int(rng.integers(0, self.config.bandwidth)),
-                    priority=int(ranks[i]),
-                )
-            )
+        launches = Launches(
+            delivered + offset, cols.completion[done] + 1, wavelengths, ranks
+        )
         result = self._ack_engine.run_round(launches, collect_collisions=False)
         acked = {uid - offset for uid in result.delivered}
         return acked, (result.makespan or 0)
 
     # -- fault-awareness helpers ---------------------------------------------
 
-    def _attempt_repairs(
-        self,
-        t: int,
-        active: list[int],
-        live_paths: dict[int, tuple],
-        monitor: LinkHealthMonitor,
-        repairs: list[RepairEvent],
-        metrics: MetricsRegistry,
-        observe: bool,
-    ) -> dict[int, tuple]:
+    def _attempt_repairs(self, st: _TrialState) -> dict[int, tuple]:
         """Reroute active worms stranded on suspected-dead links.
 
         Replacement paths are shortest paths on the surviving directed
         graph (the topology's links when the collection has a topology,
         else the union of the collection's own links) minus the
-        suspected set. Returns the rerouted worms' new paths by uid
-        (empty when nothing changed). Only those entries of
-        ``self.worms`` are replaced, and the caller patches the live
+        suspected set. The trial builds that graph at its first repair
+        attempt and from then on deletes each newly convicted link from
+        it, which keeps every other neighbour's order and so the BFS tie
+        breaking of a fresh build. Returns the rerouted worms' new paths
+        by uid (empty when nothing changed); only those entries of
+        ``self.worms`` are replaced. The caller patches the live
         collection with :meth:`PathCollection.rerouted`, which validates
-        only the new paths. The engines are still rebuilt: link ids are
-        assigned by first appearance in uid order and fix the
-        within-step event order, hence the order of collisions, faulted
-        links and flight-recorder events, so a patched layout would
-        diverge from a fresh run's. Worms whose destination became
-        unreachable stay stranded and are diagnosed at exhaustion.
+        only the new paths and splices its compiled link layout, and
+        rebuilds the engines from that layout: link ids are renumbered
+        by first appearance in uid order, exactly as a fresh build of
+        the repaired collection numbers them. Worms whose destination
+        became unreachable stay stranded and are diagnosed at
+        exhaustion.
         """
+        monitor = st.monitor
+        live_paths = st.live_paths
         stranded = [
-            uid for uid in active if monitor.is_suspected_path(live_paths[uid])
+            uid for uid in st.active if monitor.is_suspected_path(live_paths[uid])
         ]
         if not stranded:
             return {}
-        adj = surviving_graph(
-            collection_links(self.collection.paths, self.collection.topology),
-            monitor.suspected,
-        )
+        suspected = monitor.suspected
+        if st.surviving is None:
+            st.surviving = surviving_graph(
+                collection_links(self.collection.paths, self.collection.topology),
+                suspected,
+            )
+        else:
+            cut_links(st.surviving, suspected - st.cut)
+        st.cut = suspected
         changes: dict[int, tuple] = {}
+        t = st.t
         for uid in stranded:
             path = live_paths[uid]
-            new_path = reroute_path(adj, path[0], path[-1])
+            new_path = reroute_path(st.surviving, path[0], path[-1])
             if new_path is None or new_path == path:
                 continue
-            repairs.append(
+            st.repairs.append(
                 RepairEvent(
                     round=t,
                     worm=uid,
@@ -462,7 +479,7 @@ class TrialAndFailureProtocol:
                 "link(s) (%d -> %d links)",
                 t,
                 uid,
-                len(monitor.suspected),
+                len(suspected),
                 len(path) - 1,
                 len(new_path) - 1,
             )
@@ -482,15 +499,14 @@ class TrialAndFailureProtocol:
             self.worms = list(self.worms)
         for uid, path in changes.items():
             self.worms[uid] = Worm(uid=uid, path=path, length=self.worms[uid].length)
-        self._build_engines(self.worms)
         self._repaired = True
         if self._flight is not None:
-            repaired = {r.worm for r in repairs}
+            repaired = {r.worm for r in st.repairs}
             self._flight.describe_worms(
                 [w for w in self.worms if w.uid in repaired], force=True
             )
-        if observe:
-            metrics.inc("protocol_repairs_total", len(changes))
+        if st.observe:
+            st.metrics.inc("protocol_repairs_total", len(changes))
         return changes
 
     def _diagnose(
@@ -525,7 +541,7 @@ class TrialAndFailureProtocol:
             # A previous run on this instance rerouted worms; reset to the
             # pristine collection so reruns stay seed-deterministic.
             self.worms = make_worms(self.collection.paths, cfg.worm_length)
-            self._build_engines(self.worms)
+            self._build_engines(self.worms, self.collection)
             self._repaired = False
         st.active = [w.uid for w in self.worms]
         st.delivered_round = {}
@@ -547,6 +563,8 @@ class TrialAndFailureProtocol:
             else None
         )
         st.monitor = LinkHealthMonitor(cfg.suspect_after)
+        st.surviving = None
+        st.cut = set()
         st.stall = StallDetector(
             cfg.backoff_after, cfg.backoff_cap, cooldown=cfg.backoff_cooldown
         )
@@ -614,9 +632,7 @@ class TrialAndFailureProtocol:
             ack_span = 0
         else:
             t_ack = time.perf_counter() if observe else 0.0
-            acked, ack_span = self._route_acks(
-                delivered, result.outcomes, st.round_rng
-            )
+            acked, ack_span = self._route_acks(result, st.round_rng)
             if observe:
                 metrics.observe(
                     "protocol_ack_seconds", time.perf_counter() - t_ack
@@ -688,11 +704,10 @@ class TrialAndFailureProtocol:
 
         if cfg.repair != "reroute" or not st.monitor.suspected:
             return False
-        changes = self._attempt_repairs(
-            t, st.active, st.live_paths, st.monitor, st.repairs, metrics, observe
-        )
+        changes = self._attempt_repairs(st)
         if changes:
             st.live_coll = st.live_coll.rerouted(changes)
+            self._build_engines(self.worms, st.live_coll)
             st.dl = st.live_coll.dilation + cfg.worm_length
             # Repaired paths void the original invariants; re-anchor
             # the schedule on the repaired collection's measures.

@@ -206,7 +206,9 @@ class RoundResult:
             object.__setattr__(self, "_outcomes", self._columns.to_dict())
         return self._outcomes
 
-    def _table(self) -> OutcomeColumns:
+    @property
+    def columns(self) -> OutcomeColumns:
+        """The outcomes as :class:`OutcomeColumns`, in launch order."""
         if self._columns is None:
             object.__setattr__(self, "_columns", OutcomeColumns.of(self._outcomes))
         return self._columns
@@ -214,24 +216,24 @@ class RoundResult:
     @property
     def n_launched(self) -> int:
         """Number of launched worms (one outcome each)."""
-        return len(self._table())
+        return len(self.columns)
 
     @property
     def delivered(self) -> list[int]:
         """Uids delivered completely this round."""
-        cols = self._table()
+        cols = self.columns
         return cols.worm[cols.code == 0].tolist()
 
     @property
     def failed(self) -> list[int]:
         """Uids that failed this round."""
-        cols = self._table()
+        cols = self.columns
         return cols.worm[cols.code != 0].tolist()
 
     @property
     def n_delivered(self) -> int:
         """Number of complete deliveries."""
-        return int(np.count_nonzero(self._table().code == 0))
+        return int(np.count_nonzero(self.columns.code == 0))
 
     @property
     def n_failed(self) -> int:
@@ -242,7 +244,7 @@ class RoundResult:
     def failure_counts(self) -> dict[FailureKind, int]:
         """How many worms failed with each :class:`FailureKind` (zeros included)."""
         kinds = OutcomeColumns.KINDS
-        counts = np.bincount(self._table().code, minlength=len(kinds)).tolist()
+        counts = np.bincount(self.columns.code, minlength=len(kinds)).tolist()
         return dict(zip(kinds[1:], counts[1:]))
 
 

@@ -35,7 +35,12 @@ from repro.faults.models import (
     TransientLinkFaults,
     WindowedFaults,
 )
-from repro.faults.repair import collection_links, reroute_path, surviving_graph
+from repro.faults.repair import (
+    collection_links,
+    cut_links,
+    reroute_path,
+    surviving_graph,
+)
 from repro.faults.spec import FAULT_SPEC_NAMES, parse_fault_spec
 
 __all__ = [
@@ -59,6 +64,7 @@ __all__ = [
     "FAULT_SPEC_NAMES",
     "parse_fault_spec",
     "collection_links",
+    "cut_links",
     "reroute_path",
     "surviving_graph",
 ]

@@ -6,7 +6,9 @@ that mechanism for the reproduction. Given the original path collection
 and the monitor's suspected-dead link set, :func:`reroute_path` computes
 a replacement path on the *surviving* directed graph -- the topology's
 links when the collection carries a topology, otherwise the union of the
-collection's own links -- via breadth-first shortest path.
+collection's own links -- via breadth-first shortest path. A trial
+builds that graph once (:func:`surviving_graph`) and deletes links from
+it as they are convicted (:func:`cut_links`).
 
 Repaired paths are shortest on the surviving graph, but the repaired
 collection is **not** guaranteed to preserve the structural invariants
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable, Iterable, Sequence
 
-__all__ = ["surviving_graph", "reroute_path", "collection_links"]
+__all__ = ["surviving_graph", "cut_links", "reroute_path", "collection_links"]
 
 
 def surviving_graph(
@@ -39,6 +41,22 @@ def surviving_graph(
             continue
         adj.setdefault(u, []).append(v)
     return adj
+
+
+def cut_links(adj: dict[Hashable, list], dead: Iterable[tuple]) -> None:
+    """Delete the ``dead`` links from the adjacency ``adj``, in place.
+
+    The other neighbours keep their order, and a node left without one
+    is dropped, so ``cut_links(surviving_graph(links, a), b)`` equals
+    ``surviving_graph(links, a | b)``, neighbour order included, for
+    links without repeats. Links ``adj`` lacks are ignored.
+    """
+    for u, v in dead:
+        nbrs = adj.get(u)
+        if nbrs is not None and v in nbrs:
+            nbrs.remove(v)
+            if not nbrs:
+                del adj[u]
 
 
 def reroute_path(

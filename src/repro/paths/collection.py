@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.errors import PathError
 from repro.network.topology import Topology
+from repro.paths.layout import LinkLayout, topology_universe
 
 __all__ = ["PathCollection", "LivePathSet"]
 
@@ -89,20 +90,31 @@ class PathCollection:
     @cached_property
     def link_paths(self) -> dict[tuple, list[int]]:
         """Directed link -> sorted list of path ids using it."""
-        index: dict[tuple, list[int]] = {}
-        for pid, path in enumerate(self._paths):
-            for a, b in zip(path, path[1:]):
-                index.setdefault((a, b), []).append(pid)
-        return index
+        return _link_paths(self._paths)
 
     @cached_property
     def links(self) -> list[tuple]:
-        """All directed links used by at least one path."""
-        return list(self.link_paths.keys())
+        """All directed links used by at least one path, by first use."""
+        layout = self.layout
+        return layout.universe.of(layout.numbered()[1])
 
     def paths_on_link(self, link: tuple) -> list[int]:
         """Path ids crossing the directed link (empty if unused)."""
         return list(self.link_paths.get(link, ()))
+
+    @cached_property
+    def layout(self) -> LinkLayout:
+        """The paths compiled to numpy link ids, in uid order.
+
+        Ids are the topology's ``link_index`` when the collection has a
+        topology, else the collection's own links in order of first
+        appearance. Routing engines build their link ids and event
+        tables from it (see :mod:`repro.paths.layout`), and
+        :meth:`rerouted` splices it instead of compiling again.
+        """
+        topology = self.topology
+        universe = topology_universe(topology) if topology is not None else None
+        return LinkLayout.compile(self._paths, universe)
 
     # -- the paper's measures -----------------------------------------------
 
@@ -119,7 +131,8 @@ class PathCollection:
     @cached_property
     def edge_congestion(self) -> int:
         """Conventional congestion: max paths over one directed link."""
-        return max(len(pids) for pids in self.link_paths.values())
+        layout = self.layout
+        return int(np.bincount(layout.numbered()[0][layout.flat]).max())
 
     @cached_property
     def per_path_congestion(self) -> np.ndarray:
@@ -135,7 +148,9 @@ class PathCollection:
         if shares is not None:
             # The diagonal is 1: every path shares its links with itself.
             return shares.sum(axis=1).astype(np.int64)
-        link_paths = self.link_paths
+        # The layout answers every other link-level read, so unless the
+        # index is cached already it is built for this pass only.
+        link_paths = self.__dict__.get("link_paths") or _link_paths(self._paths)
         cache: dict[tuple, int] = {}
         out = np.empty(len(self._paths), dtype=np.int64)
         for pid, path in enumerate(self._paths):
@@ -193,15 +208,17 @@ class PathCollection:
         ``PathCollection(paths with changes, topology=self.topology,
         require_simple=False)``, including the errors it raises. Only
         the replaced paths are checked and validated against the
-        topology. When this collection's share matrix is cached and it
-        has at most ``_PATCH_MAX_PATHS`` paths, the result gets a copy of
-        the matrix and of the link -> paths index with just the replaced
-        rows and columns recomputed (its :attr:`per_path_congestion` are
-        then the row sums): an O(n**2) copy plus O(replaced * n) work,
-        instead of a rebuild that also re-validates every path.
-        Everything else the result computes lazily, as a fresh build
-        would. Empty ``changes`` return this collection itself. Used by
-        the protocol's reroute repair.
+        topology. A compiled :attr:`layout` is spliced: only the replaced
+        rows' links are looked up. When this collection's share matrix
+        is cached and it has at most ``_PATCH_MAX_PATHS`` paths, the
+        result gets a copy of the matrix with just the replaced rows and
+        columns recomputed from the result's layout (its
+        :attr:`per_path_congestion` are then the row sums): an O(n**2)
+        copy plus O(replaced * links) work, instead of a rebuild that
+        also re-validates every path. Everything else the result
+        computes lazily, as a fresh build would. Empty ``changes``
+        return this collection itself. Used by the protocol's reroute
+        repair.
         """
         if not changes:
             return self
@@ -223,38 +240,25 @@ class PathCollection:
         child = PathCollection.__new__(PathCollection)
         child._paths = tuple(paths)
         child.topology = self.topology
+        layout = self.__dict__.get("layout")
+        if layout is not None:
+            child.__dict__["layout"] = layout.spliced(new)
         shares = self.__dict__.get("_share_matrix")
         if shares is not None and n <= _PATCH_MAX_PATHS:
-            # Copy-on-write link index: only touched links get new lists.
-            members = dict(self._link_members)
-            new_links = {pid: _link_set(path) for pid, path in new.items()}
-            for pid, fresh in new_links.items():
-                old = _link_set(self._paths[pid])
-                for link in old - fresh:
-                    members[link] = [p for p in members[link] if p != pid]
-                for link in fresh - old:
-                    members[link] = members.get(link, []) + [pid]
+            layout = child.layout
+            owner = np.repeat(np.arange(n), layout.count)
             shares = shares.copy()
             ids = list(new)
             shares[ids, :] = 0.0
             shares[:, ids] = 0.0
-            for pid, fresh in new_links.items():
-                sharing = list(set().union(*(members[link] for link in fresh)))
+            for pid in ids:
+                start = layout.start[pid]
+                own = layout.flat[start : start + layout.count[pid]]
+                sharing = owner[np.isin(layout.flat, own)]
                 shares[pid, sharing] = 1.0
                 shares[sharing, pid] = 1.0
-            child.__dict__["_link_members"] = members
             child.__dict__["_share_matrix"] = shares
         return child
-
-    @cached_property
-    def _link_members(self) -> dict[tuple, list[int]]:
-        """Directed link -> ids of the paths using it, in no fixed order.
-
-        The index :meth:`rerouted` patches; a fresh collection's is its
-        :attr:`link_paths`. Patched indexes may keep links no path uses
-        any more (with no members), which is why this is not public.
-        """
-        return self.link_paths
 
     @cached_property
     def _share_matrix(self) -> "np.ndarray | None":
@@ -264,15 +268,16 @@ class PathCollection:
         can produce is an integer below ``2**24``) while the cache stays
         small; None when the collection exceeds
         ``_SHARE_MATRIX_MAX_PATHS`` and the dense form would not pay.
+        Built from the compiled :attr:`layout`: one incidence column per
+        link the paths use.
         """
         n = self.n
         if n > _SHARE_MATRIX_MAX_PATHS:
             return None
-        incidence = np.zeros((n, len(self.links)), dtype=np.float32)
-        link_col = {link: col for col, link in enumerate(self.links)}
-        for pid, path in enumerate(self._paths):
-            for a, b in zip(path, path[1:]):
-                incidence[pid, link_col[(a, b)]] = 1.0
+        layout = self.layout
+        local, gids = layout.numbered()
+        incidence = np.zeros((n, gids.shape[0]), dtype=np.float32)
+        incidence[np.repeat(np.arange(n), layout.count), local[layout.flat]] = 1.0
         shares = (incidence @ incidence.T) > 0
         return shares.astype(np.float32)
 
@@ -393,6 +398,15 @@ class LivePathSet:
         return max(map(len, self._sharing.values()), default=0)
 
 
+def _link_paths(paths: Sequence[tuple]) -> dict[tuple, list[int]]:
+    """Directed link -> ids of the ``paths`` using it, once per use."""
+    index: dict[tuple, list[int]] = {}
+    for pid, path in enumerate(paths):
+        for a, b in zip(path, path[1:]):
+            index.setdefault((a, b), []).append(pid)
+    return index
+
+
 def _check_paths(numbered: Iterable[tuple[int, tuple]], require_simple: bool) -> None:
     """Raise :class:`PathError` for the first malformed ``(id, path)``."""
     for i, p in numbered:
@@ -400,8 +414,3 @@ def _check_paths(numbered: Iterable[tuple[int, tuple]], require_simple: bool) ->
             raise PathError(f"path {i} has fewer than two nodes: {p!r}")
         if require_simple and len(set(p)) != len(p):
             raise PathError(f"path {i} repeats a node: {p!r}")
-
-
-def _link_set(path: tuple) -> set[tuple]:
-    """The directed links ``path`` traverses."""
-    return set(zip(path, path[1:]))

@@ -41,6 +41,7 @@ from repro.network.topology import Topology
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
 from repro.paths.collection import LivePathSet, PathCollection
+from repro.paths.layout import LinkLayout, topology_universe
 from repro.scenarios.arrivals import ArrivalProcess
 from repro.scenarios.traffic import TrafficPattern
 from repro.worms.worm import Worm, make_worms
@@ -438,7 +439,12 @@ class StreamingEngine:
 
     # -- helpers -------------------------------------------------------------
 
-    def _build_engine(self, worms: list[Worm]) -> RoutingEngine:
+    def _build_engine(self, worms: list[Worm], layout: LinkLayout) -> RoutingEngine:
+        """The run's engine over ``worms``, whose paths ``layout`` lays out.
+
+        Streaming runs lay paths out over the topology's links, so
+        admissions never meet a link the engine's universe lacks.
+        """
         proto = self.config.protocol
         return RoutingEngine(
             worms,
@@ -446,6 +452,7 @@ class StreamingEngine:
             proto.tie_rule,
             metrics=self._metrics,
             backend=proto.backend,
+            layout=layout,
         )
 
     def _emit_window(self, window: dict, metrics, observe: bool) -> None:
@@ -519,7 +526,7 @@ class StreamingEngine:
         else:
             arr_rng = arr_stream = traffic_stream = None
             worms = make_worms(self.collection.paths, proto.worm_length)
-            engine = self._build_engine(worms)
+            engine = self._build_engine(worms, self.collection.layout)
             active = [w.uid for w in worms]
             admitted_round = {uid: 1 for uid in active}
             offered = admitted = len(active)
@@ -592,7 +599,13 @@ class StreamingEngine:
                             active.append(next_uid)
                             next_uid += 1
                         if engine is None:
-                            engine = self._build_engine(new_worms)
+                            engine = self._build_engine(
+                                new_worms,
+                                LinkLayout.compile(
+                                    [w.path for w in new_worms],
+                                    topology_universe(self.network.topology),
+                                ),
+                            )
                         else:
                             engine.add_worms(new_worms)
                         round_admitted = admit

@@ -208,7 +208,7 @@ class TestOccupancyEviction:
         # contended first-link key was evicted, not left stale.
         assert len(occupancy) == 1
         (key, record), = occupancy.items()
-        assert key == (engine._link_index[(1, 2)], 0)
+        assert key == (engine._links.index((1, 2)), 0)
         assert record.run.uid == 1
 
     def test_dict_bounded_by_live_keys_not_arrivals(self):

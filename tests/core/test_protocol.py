@@ -2,12 +2,14 @@
 
 import pytest
 
+import repro.worms.worm as worm_module
 from repro.core.protocol import (
     ProtocolConfig,
     route_collection,
 )
 from repro.core.schedule import FixedSchedule, GeometricSchedule
 from repro.errors import ProtocolError
+from repro.experiments.workloads import mesh_random_function
 from repro.optics.coupler import CollisionRule
 from repro.paths.collection import PathCollection
 from repro.paths.gadgets import type2_bundle
@@ -191,6 +193,25 @@ class TestSimulatedAcks:
         )
         assert result.duplicate_deliveries > 0
         assert result.completed
+
+    @pytest.mark.parametrize("backend", ["python", "vectorized", "batched"])
+    def test_simulated_acks_build_no_outcome_records(self, backend, monkeypatch):
+        # Acks read the forward round's completion column, not its
+        # per-worm WormOutcome records.
+        built = []
+        post_init = worm_module.WormOutcome.__post_init__
+
+        def counting(outcome):
+            built.append(outcome.worm)
+            post_init(outcome)
+
+        monkeypatch.setattr(worm_module.WormOutcome, "__post_init__", counting)
+        result = route_collection(
+            mesh_random_function(8, 2, rng=3), bandwidth=2,
+            ack_mode="simulated", rng=4, backend=backend,
+        )
+        assert result.completed and result.rounds > 1
+        assert built == []
 
     def test_ideal_acks_never_duplicate(self, bundle8):
         result = route_collection(bundle8.collection, bandwidth=1, rng=7)
