@@ -22,11 +22,12 @@ schema-versioned sample::
 
 Stage means come from the span profiler
 (:mod:`repro.observability.spans`, paths ``engine.round/engine.*``), so
-a slowdown points at a stage instead of "the engine got slower". Every invocation records one sample per engine backend
+a slowdown points at a stage instead of "the engine got slower". Every
+invocation records one sample per backend name
 (``"backend": "python" | "vectorized" | "batched"``; samples predating
-the field are python ones), so the series shows the vectorized and
-batched speedups and the gate covers every kernel independently: each
-new sample is compared against
+the field are python ones). The engine rounds run one kernel under
+every name; the trial figures differ for ``"batched"``, which runs
+lockstep trial slices. Each new sample is compared against
 the most recent previous sample *with the same backend* and the script
 exits non-zero on a >25% ``round_seconds_median`` slowdown (the CI
 gate); samples are appended either way, so the series keeps recording
@@ -96,7 +97,6 @@ def collect_sample(backend: str = "python") -> dict:
         worms,
         CollisionRule.SERVE_FIRST,
         metrics=registry,
-        backend=backend,
         profiler=profiler,
     )
     events = sum(w.n_links for w in worms)
@@ -285,19 +285,18 @@ def main(argv: list[str] | None = None) -> int:
 
     series_before = load_series(args.out)
     failures: list[str] = []
-    medians: dict[str, float] = {}
     trial_rates: dict[str, float] = {}
     for backend in BACKENDS:
         t_sample = time.perf_counter()
         sample = collect_sample(backend)
         sample_wall = time.perf_counter() - t_sample
-        medians[backend] = sample["round_seconds_median"]
         trial_rates[backend] = sample["trials_per_second_serial"]
         if ledger is not None:
             record_sample(ledger, sample, wall=sample_wall)
         if not args.no_check:
-            # Each backend gates against ITS previous sample, so the
-            # slower python kernel never masks a vectorized regression.
+            # Each backend name gates against ITS previous sample, so
+            # samples from before the one-kernel engine never mask a
+            # regression.
             failures += check_regression(
                 series_before, sample, threshold=args.threshold
             )
@@ -308,13 +307,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{sample['events_per_second']:.0f} events/s, "
             f"{sample['trials_per_second_serial']:.2f} trials/s "
             f"(git {sample['git_rev'] or 'n/a'})"
-        )
-    if medians.get("python") and medians.get("vectorized"):
-        print(
-            f"vectorized/python median round ratio: "
-            f"{medians['vectorized'] / medians['python']:.2f}x "
-            "(single-process; pooled-trial throughput is still bounded "
-            "by cpu_count)"
         )
     if trial_rates.get("vectorized") and trial_rates.get("batched"):
         print(

@@ -1065,10 +1065,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=list(BACKENDS),
             default=None,
-            help="engine round kernel (bit-identical results; vectorized "
-            "batches uncontended events with numpy, batched additionally "
-            "runs whole trial slices in lockstep -- see "
-            "docs/PERFORMANCE.md)",
+            help="trial dispatch (bit-identical results; python and "
+            "vectorized run one engine kernel a trial at a time, batched "
+            "adds lockstep trial slices -- see docs/PERFORMANCE.md)",
         )
 
     def _add_ledger_flag(p) -> None:

@@ -27,31 +27,25 @@ One round body serves every call. :func:`run_round_batch` runs a
 many trials that differ only in their seeds), whose head-arrival events
 are built with numpy and sorted once, trial-major, into canonical
 (time, link, wavelength) order. :meth:`RoutingEngine.run_round` is the
-one-call pass. Each engine then resolves its own slice of the pass
-under one of two replay policies:
-
-* *replay all* (``backend="python"``): every event group walks the
-  scalar loop above. This is the reference the other policy is checked
-  against.
-* *replay clashes* (``backend="vectorized"`` or ``"batched"``): two
-  events can only interact if they share a (link, wavelength) channel
-  *and* are at most ``max_worm_length - 1`` steps apart (an occupancy
-  written at ``t`` expires by ``t + L - 1``), so a single
-  sorted-adjacent-gap test marks every event that sits in such a pair
-  as *clashed*. Every other event meets an idle or stale channel, so
-  its worm advances unless it is already dead or the link is down;
-  those events are settled in numpy, and each worm's makespan
-  contribution follows from a closed form over its truncations. Under
-  the priority rule every clashed event replays through the scalar
-  loop. Under serve-first a numpy fixed point (:func:`_settle`) first
-  works out which clashed events are live, which meet a tie or an
-  occupant and which are lost to a dead link; only the contended
-  groups and the install of each one's occupant replay, and the replay
-  must reproduce every death the fixed point found. The clash test is
-  conservative (it over-approximates contention), so outcomes are
-  bit-identical to replaying all; the differential test suite enforces
-  it. Per-worm run state is built only for worms that the replay, a
-  dead link or a flight recorder touches.
+one-call pass. Each engine then resolves its own slice of the pass by
+replaying only its clashes. Two events can only interact if they share
+a (link, wavelength) channel *and* are at most ``max_worm_length - 1``
+steps apart (an occupancy written at ``t`` expires by ``t + L - 1``),
+so a single sorted-adjacent-gap test marks every event that sits in
+such a pair as *clashed*. Every other event meets an idle or stale
+channel, so its worm advances unless it is already dead or the link is
+down; those events are settled in numpy, and each worm's makespan
+contribution follows from a closed form over its truncations. Under
+the priority rule every clashed event replays through the scalar loop.
+Under serve-first a numpy fixed point (:func:`_settle`) first works out
+which clashed events are live, which meet a tie or an occupant and
+which are lost to a dead link; only the contended groups and the
+install of each one's occupant replay, and the replay must reproduce
+every death the fixed point found. The clash test is conservative (it
+over-approximates contention), so outcomes equal a replay of every
+event; the flit-level oracle (:mod:`repro.core.reference`) and the
+golden round corpus enforce it. Per-worm run state is built only for
+worms that the replay, a dead link or a flight recorder touches.
 
 A round's launches cross into the engine as
 :class:`~repro.worms.worm.Launches` columns (launch objects are turned
@@ -61,15 +55,15 @@ state gets its outcome and last step from array arithmetic, and the
 :class:`~repro.core.records.RoundResult` builds its per-worm records
 only when they are read.
 
-So three backend names map onto two policies. ``"vectorized"`` and
-``"batched"`` resolve identically; ``"batched"`` additionally opts trial
-drivers into lockstep passes over many trials. Within a pass no trial's
-events cluster with another's (the trial id is the most significant
-sort key and part of the clash channel), so each trial's outcomes,
-collision order, fault attribution and flight-recorder stream are
-bit-identical to running that trial alone. A one-call pass stacks
-nothing and sorts without the trial key, and a pass whose engines all
-replay everything skips the clash test.
+Within a pass no trial's events cluster with another's (the trial id is
+the most significant sort key and part of the clash channel), so each
+trial's outcomes, collision order, fault attribution and
+flight-recorder stream are bit-identical to running that trial alone. A
+one-call pass stacks nothing and sorts without the trial key.
+
+The backend names (:data:`BACKENDS`) select nothing here: every name
+runs this one kernel, and ``"batched"`` only opts trial drivers into
+lockstep passes over many trials.
 
 Every sort goes through :func:`_lexorder`, which packs the integer key
 columns into as few int64 words as fit and sorts those.
@@ -113,7 +107,7 @@ __all__ = [
     "set_default_backend",
 ]
 
-#: The selectable round-kernel implementations.
+#: The backend names a run can carry (see the module docstring).
 BACKENDS = ("python", "vectorized", "batched")
 
 _default_backend = "python"
@@ -130,24 +124,25 @@ _UID, _LENGTH, _PATH = map(attrgetter, ("uid", "length", "path"))
 _STAGES = ("build_events", "resolve", "finalise")
 
 
-def set_default_backend(backend: str) -> None:
-    """Set the process-wide default round kernel.
+def set_default_backend(name: str) -> None:
+    """Set the process-wide default backend name.
 
-    Engines constructed with ``backend=None`` (the default) resolve to
-    this value at construction time. Worker processes inherit the
-    parent's choice through the trial runner's pool initializer, so one
-    call in the driver covers a whole parallel sweep.
+    Runs that name no backend of their own (``ProtocolConfig.backend``
+    None) take this one: it picks their trial dispatch and is part of
+    their checkpoint context and ledger rows. Worker processes inherit
+    the parent's choice through the trial runner's pool initializer, so
+    one call in the driver covers a whole parallel sweep.
     """
     global _default_backend
-    if backend not in BACKENDS:
+    if name not in BACKENDS:
         raise ProtocolError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
+            f"backend must be one of {BACKENDS}, got {name!r}"
         )
-    _default_backend = backend
+    _default_backend = name
 
 
 def get_default_backend() -> str:
-    """The process-wide default round kernel (see :func:`set_default_backend`)."""
+    """The process-wide default backend name (see :func:`set_default_backend`)."""
     return _default_backend
 
 
@@ -339,11 +334,10 @@ class _Record:
 class _Run:
     """Mutable per-worm state for one round.
 
-    Built for every launched worm under the replay-all policy. The
-    replay-clashes policy builds one only for a worm that the scalar
-    replay, a dead link or a flight recorder touches; every other worm
-    is delivered whole, and :meth:`RoutingEngine._finalise` writes its
-    outcome straight from the launch columns.
+    Built only for a worm that the scalar replay, a dead link or a
+    flight recorder touches; every other worm is delivered whole, and
+    :meth:`RoutingEngine._finalise` writes its outcome straight from the
+    launch columns.
     """
 
     __slots__ = (
@@ -510,11 +504,11 @@ def _last_step(run: _Run, last: int) -> int:
 class _OrderedRecorder:
     """Buffers flight-recorder calls tagged with their global event index.
 
-    The replay-clashes policy emits the replayed events' calls from the
-    scalar replay and the other events' calls from a later pass; tagging
-    each call with the index of the event that produced it and flushing
-    in sorted order makes the recorder stream bit-identical to the
-    replay-all policy's. Recorder methods read ``run.cut_len`` at call time
+    The engine emits the replayed events' calls from the scalar replay
+    and the other events' calls from a later pass; tagging each call
+    with the index of the event that produced it and flushing in sorted
+    order gives the recorder every event in the round's canonical
+    order. Recorder methods read ``run.cut_len`` at call time
     (the ``surviving`` field), and the replay mutates it, so each
     buffered call carries the value in force at its event and the flush
     restores it around the real emission.
@@ -565,7 +559,7 @@ class RoutingEngine:
     rounds, without restarting the engine. Link ids are assigned in
     registration order and retained across retirement, so a static
     batch and an incrementally grown one that registered the same worms
-    in the same order behave bit-identically on every backend.
+    in the same order behave bit-identically.
 
     ``layout`` optionally gives the worms' paths already compiled (a
     :class:`~repro.paths.layout.LinkLayout` whose row ``k`` is the path
@@ -581,15 +575,6 @@ class RoutingEngine:
     :func:`repro.observability.enable_metrics` has been called, so an
     uninstrumented engine pays only one enabled-check per round.
 
-    ``backend`` selects the replay policy: ``"python"`` replays every
-    event through the scalar loop; ``"vectorized"`` replays only the
-    events the numpy clash test and settle step leave contended
-    (bit-identical, see the module docstring);
-    ``"batched"`` resolves like ``"vectorized"`` and is also the opt-in
-    marker that routes trial drivers through lockstep
-    :func:`run_round_batch` passes. None defers to the process default
-    set by :func:`set_default_backend`.
-
     ``profiler`` optionally names the span profiler receiving the
     ``engine.round`` span and its ``engine.build_events`` /
     ``engine.resolve`` / ``engine.finalise`` children; None defers to
@@ -603,19 +588,11 @@ class RoutingEngine:
         rule: CollisionRule,
         tie_rule: TieRule = TieRule.ALL_LOSE,
         metrics: MetricsRegistry | None = None,
-        backend: str | None = None,
         profiler: "SpanProfiler | None" = None,
         layout: LinkLayout | None = None,
     ) -> None:
         if not worms:
             raise ProtocolError("the engine needs at least one worm")
-        if backend is None:
-            backend = _default_backend
-        if backend not in BACKENDS:
-            raise ProtocolError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        self.backend = backend
         self.rule = rule
         self.tie_rule = tie_rule
         # None means "the process default at call time" (a no-op registry
@@ -737,7 +714,7 @@ class RoutingEngine:
 
         New worms get link ids appended in registration order; existing
         ids never move, so rounds before and after an admission see the
-        same per-link identities on every backend.
+        same per-link identities.
         """
         self._register(worms, None)
 
@@ -860,23 +837,22 @@ class RoutingEngine:
         recorder,
         collisions: list[CollisionEvent],
         faulted_at: dict[int, int],
-        order: list[int] | None = None,
+        order: list[int],
     ) -> int:
         """Walk ``events`` in order, resolving each (t, link, wl) group.
 
         This is the one place collision semantics are applied. The
-        replay-all policy passes the whole round; the replay-clashes
-        policy passes only the events :func:`_partition` chose, plus
-        ``order`` -- their indices in the full round -- so fault
-        attribution, truncation logs and recorder emission keep global
-        positions. Returns the number of contended coupler groups.
+        events are the ones :func:`_partition` chose to replay, and
+        ``order`` holds their indices in the full round, so fault
+        attribution, truncation logs and recorder emission (through an
+        :class:`_OrderedRecorder`) keep global positions. Returns the
+        number of contended coupler groups.
         """
         contended = 0
         occupancy: dict[tuple[int, int], _Record] = {}
         rule = self.rule
         tie_rule = self.tie_rule
         links = self._links
-        track = order is not None and recorder is not None
 
         i = 0
         n_events = len(events)
@@ -893,7 +869,7 @@ class RoutingEngine:
                 j += 1
             group = events[i:j]
             i = j
-            if track:
+            if recorder is not None:
                 recorder.base = order[start]
 
             live = [(p, runs[k]) for (_, _, _, p, k) in group if runs[k].dead_at is None]
@@ -903,7 +879,7 @@ class RoutingEngine:
             if lid in dead_lids:
                 # Dark fiber: every head entering it is lost outright.
                 if lid not in faulted_at:
-                    faulted_at[lid] = start if order is None else order[start]
+                    faulted_at[lid] = order[start]
                 for p, run in live:
                     run.dead_at = p
                     run.faulted = True
@@ -973,9 +949,7 @@ class RoutingEngine:
                 if new_len < occ_run.cut_len:
                     occ_run.cut_len = new_len
                     cut_pos = rec.pos
-                    occ_run.cuts.append(
-                        (start if order is None else order[start], cut_pos, new_len)
-                    )
+                    occ_run.cuts.append((order[start], cut_pos, new_len))
                     for r in occ_run.records:
                         if r.pos >= cut_pos:
                             cap = r.entry + new_len - 1
@@ -1014,34 +988,25 @@ class RoutingEngine:
         self,
         slot: "_Slot",
         arrays: tuple[np.ndarray, ...],
-        replay: np.ndarray | None,
-        faults: np.ndarray | None,
+        replay: np.ndarray,
+        faults: np.ndarray,
         settled: np.ndarray | None,
     ) -> tuple[int, int]:
         """Resolve one round, replaying only its ``replay`` events.
 
-        ``replay`` is None under the replay-all policy: every event
-        replays, in order, over the slot's eager run list, straight to
-        the recorder. Otherwise :func:`_partition` chose the events
-        (indices in ``arrays`` are the round's own global positions):
-        ``replay`` holds the events :meth:`_resolve_scalar` must see,
-        and ``faults`` the heads lost to a dead link outside them. A
-        fault stands only if the replay left its worm alive. Runs are
-        built for the worms these events touch. ``settled``, when given,
-        is the settle step's death position of every worm (``_ALIVE``
-        for a survivor), and the replay must agree with it.
-        Returns ``(contended groups, events not replayed)``.
+        :func:`_partition` chose the events (indices in ``arrays`` are
+        the round's own global positions): ``replay`` holds the events
+        :meth:`_resolve_scalar` must see, and ``faults`` the heads lost
+        to a dead link outside them. A fault stands only if the replay
+        left its worm alive. Runs are built for the worms these events
+        touch. ``settled``, when given, is the settle step's death
+        position of every worm (``_ALIVE`` for a survivor), and the
+        replay must agree with it. Returns ``(contended groups, events
+        not replayed)``.
         """
         call = slot.call
         runs = slot.runs
         recorder = call.recorder
-        if replay is None:
-            events = list(zip(*(col.tolist() for col in arrays)))
-            contended = self._resolve_scalar(
-                events, runs, slot.dead_lids, call.collect_collisions,
-                recorder, slot.collisions, slot.faulted_at,
-            )
-            return contended, 0
         t, lid, wl, pos, ri = arrays
         idx = np.flatnonzero(replay)
         lost = np.flatnonzero(faults)
@@ -1226,7 +1191,7 @@ class RoutingEngine:
         codes = OutcomeColumns.CODES
         blockers: dict[int, tuple[int, ...]] = {}
         rows: list[tuple[int, int, int, int, int, int]] = []
-        for k, run in enumerate(runs) if isinstance(runs, list) else runs.items():
+        for k, run in runs.items():
             if run.blockers:
                 blockers[k] = tuple(run.blockers)
             if run.dead_at is not None:
@@ -1257,10 +1222,9 @@ def run_round(
     tie_rule: TieRule = TieRule.ALL_LOSE,
     collect_collisions: bool = True,
     dead_links: Sequence[tuple] | None = None,
-    backend: str | None = None,
 ) -> RoundResult:
     """One-shot convenience wrapper around :class:`RoutingEngine`."""
-    return RoutingEngine(worms, rule, tie_rule, backend=backend).run_round(
+    return RoutingEngine(worms, rule, tie_rule).run_round(
         launches, collect_collisions=collect_collisions, dead_links=dead_links
     )
 
@@ -1305,22 +1269,19 @@ class _Slot:
 
         The launches become columns here, once (see
         :meth:`RoutingEngine._launched`); everything after reads
-        columns. The replay-all policy gets an eager run list. The
-        replay-clashes policy starts from an empty dict and builds runs
-        as the replay and dead links touch worms, unless a flight
-        recorder needs every run from the launch on.
+        columns. Runs start as an empty dict, filled as the replay and
+        dead links touch worms, unless a flight recorder needs every run
+        from the launch on.
         """
         eng = self.engine
         call = self.call
         self.launched = launched = eng._launched(call.launches)
         recorder = call.recorder
-        runs = []
-        if eng.backend == "python" or recorder is not None:
-            runs = launched.runs()
+        self.runs = {}
         if recorder is not None:
-            for run in runs:
+            self.runs = dict(enumerate(launched.runs()))
+            for run in self.runs.values():
                 recorder.launch(run)
-        self.runs = runs if eng.backend == "python" else dict(enumerate(runs))
         self.parts = eng._event_parts(launched, launched.launches)
         self.dead_lids = eng._dead_lids(call.dead_links)
 
@@ -1332,8 +1293,8 @@ def run_round_batch(calls: Sequence[RoundCall]) -> list[RoundResult]:
     one-call pass. Every call's head-arrival events are stacked into
     single ``(trial, link, wavelength)``-keyed arrays, so the canonical
     sort, the channel sort and the adjacent-gap clash test amortise
-    across the whole pass. Each call's slice then resolves under its
-    engine's replay policy (see the module docstring).
+    across the whole pass. Each call's slice then replays only its
+    clashes (see the module docstring).
 
     Bit-identity argument: both sorts use the trial id as the
     most-significant key, so restricting the canonical order to one
@@ -1406,20 +1367,13 @@ def _run_round_batch(
 
     with prof.span("engine.resolve"):
         start = clock()
-        replay = faults = None
-        settled: list[np.ndarray | None] = [None] * len(live)
-        if any(slot.engine.backend != "python" for slot in live):
-            replay, faults, settled = _partition(live, columns, rows, trial)
+        replay, faults, settled = _partition(live, columns, rows, trial)
         shared[1] = clock() - start
-        for i, (slot, lo, hi) in enumerate(zip(live, rows, rows[1:])):
+        for slot, lo, hi, settle in zip(live, rows, rows[1:], settled):
             start = clock()
-            eng = slot.engine
-            if eng.backend == "python":
-                policy = (None, None, None)
-            else:
-                policy = (replay[lo:hi], faults[lo:hi], settled[i])
-            slot.contended, slot.free_events = eng._apply_partition(
-                slot, tuple(col[lo:hi] for col in columns), *policy
+            slot.contended, slot.free_events = slot.engine._apply_partition(
+                slot, tuple(col[lo:hi] for col in columns),
+                replay[lo:hi], faults[lo:hi], settle,
             )
             slot.seconds[1] = clock() - start
 
@@ -1498,7 +1452,7 @@ def _partition(
     rows: list[int],
     trial: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
-    """Choose the events the replay-clashes policy replays, pass-wide.
+    """Choose the events the engine replays, pass-wide.
 
     Runs :func:`_clashed` over the pass's (trial, link, wavelength)
     channels; each trial keeps its own ``max_worm_length - 1`` gap, and
@@ -1514,8 +1468,6 @@ def _partition(
     :func:`_settle` over the same channel sort, once for the pass; their
     replay shrinks to the contended groups and their occupants'
     installs, and their faults to every live event on a dead link.
-    Slots of the replay-all policy ride along in the sort and the clash
-    test but take nothing from the result.
     """
     t, lid, wl, pos, ri = columns
     radix = int(wl.max()) + 1
@@ -1529,15 +1481,14 @@ def _partition(
     order = _lexorder((chan, t), bounds)
     clashed = _clashed(chan, t, gap, *bounds, order=order)
 
-    partitioned = [slot.engine.backend != "python" for slot in live]
     bases = list(accumulate((len(slot.launched) for slot in live), initial=0))
     run = ri if trial is None else ri + np.asarray(bases[:-1])[trial]
     dead_at = np.full(bases[-1], _ALIVE, dtype=np.int64)
     dark = np.zeros(t.shape[0], dtype=bool)
     replay, faults = clashed.copy(), dark
-    if any(own and slot.dead_lids for slot, own in zip(live, partitioned)):
-        for slot, lo, hi, own in zip(live, rows, rows[1:], partitioned):
-            if own and slot.dead_lids:
+    if any(slot.dead_lids for slot in live):
+        for slot, lo, hi in zip(live, rows, rows[1:]):
+            if slot.dead_lids:
                 down = np.zeros(slot.engine._gids.shape[0], dtype=bool)
                 down[list(slot.dead_lids)] = True
                 dark[lo:hi] = down[lid[lo:hi]]
@@ -1547,10 +1498,7 @@ def _partition(
         replay &= pos < cap
         faults = quiet_dark & (pos == cap)
 
-    settles = [
-        own and slot.engine.rule is CollisionRule.SERVE_FIRST
-        for slot, own in zip(live, partitioned)
-    ]
+    settles = [slot.engine.rule is CollisionRule.SERVE_FIRST for slot in live]
     settled: list[np.ndarray | None] = [None] * len(live)
     if not any(settles):
         return replay, faults, settled

@@ -121,13 +121,15 @@ class ProtocolConfig:
     which streaming runs need so one transient stall does not
     permanently inflate ``Delta_t``.
 
-    ``backend`` selects the engine's replay policy (``"python"``,
-    ``"vectorized"`` or ``"batched"``, all bit-identical); None defers
-    to the process default (see
-    :func:`repro.core.engine.set_default_backend`). Every driver steps
-    its trials through the same lockstep loop; ``"batched"`` is what
-    makes the trial runner hand a worker a slice of seeds for
-    :func:`run_protocol_batch` instead of one seed at a time.
+    ``backend`` names how trials run (``"python"``, ``"vectorized"`` or
+    ``"batched"``); None defers to the process default (see
+    :func:`repro.core.engine.set_default_backend`). ``"python"`` and
+    ``"vectorized"`` run the one engine kernel and dispatch one seed at
+    a time; ``"batched"`` runs the same kernel and makes the trial
+    runner hand a worker a slice of seeds, stepped in lockstep by
+    :func:`run_protocol_batch`. Results are bit-identical whichever
+    name runs; the name is still part of a run's checkpoint context and
+    ledger rows.
     """
 
     bandwidth: int
@@ -368,7 +370,6 @@ class TrialAndFailureProtocol:
             config.rule,
             config.tie_rule,
             metrics=self._metrics,
-            backend=config.backend,
             layout=collection.layout,
         )
         self._ack_engine: RoutingEngine | None = None
@@ -380,7 +381,6 @@ class TrialAndFailureProtocol:
                 config.rule,
                 config.tie_rule,
                 metrics=self._metrics,
-                backend=config.backend,
                 layout=collection.layout.reversed(),
             )
 

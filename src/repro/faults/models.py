@@ -207,18 +207,25 @@ class _PersistentRun(FaultRun):
         self.links = links
         self._rng = spawn_generator(rng)
         self._dead = np.zeros(len(links), dtype=bool)
+        # The dead links in link order; rebuilt only when one dies.
+        self._listed: list = []
         self._t = 0
 
     def dead_links(self, t, rng):
+        died = False
         while self._t < t:
             alive = ~self._dead
             if alive.any():
                 u = self._rng.random(len(self.links))
-                self._dead |= alive & (u < self.rate)
+                fresh = alive & (u < self.rate)
+                if fresh.any():
+                    self._dead |= fresh
+                    died = True
             self._t += 1
-        if not self._dead.any():
-            return None
-        return [lk for lk, dead in zip(self.links, self._dead) if dead]
+        if died:
+            links = self.links
+            self._listed = [links[k] for k in np.flatnonzero(self._dead).tolist()]
+        return list(self._listed) or None
 
 
 @dataclass(frozen=True)

@@ -483,8 +483,8 @@ def compare_runs(
     """Diff two ledger runs (or one run against its grouped history).
 
     With ``candidate_ref`` given, both rows must share ``kind`` and
-    ``backend`` (comparing a python-kernel run against a vectorized one
-    is not a regression signal). With ``candidate_ref=None``, the
+    ``backend`` (runs under different backend names dispatch trials
+    differently, so their difference is not a regression signal). With ``candidate_ref=None``, the
     *baseline* becomes the median headline of every other run in the
     same (kind, workload, backend, fault-model, scenario) group and the
     referenced run is the candidate -- the history-aware gate. The

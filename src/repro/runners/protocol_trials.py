@@ -223,12 +223,13 @@ def route_collection_trials(
     serially on each child seed of ``seed``, for any ``jobs``.
     ``checkpoint`` passes through to the runner: a killed batch rerun
     with the same arguments resumes from the journal, skipping the
-    already-completed trials. ``backend`` selects the engine's round
-    kernel (``"python"``, ``"vectorized"`` or ``"batched"``,
-    bit-identical results; None = process default); it travels inside
-    the pickled config, so it applies in worker processes too. The
-    runner has one dispatch path, and :func:`protocol_dispatch` decides
-    only the slice width: ``"batched"`` gives each worker one
+    already-completed trials. ``backend`` names how trials run
+    (``"python"``, ``"vectorized"`` or ``"batched"``, bit-identical
+    results; None = process default); it travels inside the pickled
+    config, so it applies in worker processes too. ``"python"`` and
+    ``"vectorized"`` run the one engine kernel the same way. The runner
+    has one dispatch path, and :func:`protocol_dispatch` decides only
+    the slice width: ``"batched"`` gives each worker one
     contiguous slice of seeds, run in lockstep through
     :func:`repro.core.protocol.run_protocol_batch` (amortising the sort
     kernel across the slice while staying bit-identical per trial);

@@ -145,7 +145,7 @@ _WORKER_FN: Callable | None = None
 def _worker_init(payload: bytes, default_backend: str) -> None:
     """Pool initializer: unpickle the unit function once per worker.
 
-    Also propagates the parent's default engine backend, so a driver's
+    Also propagates the parent's default backend name, so a driver's
     single ``set_default_backend("vectorized")`` call covers the whole
     pool (worker processes may be spawned, not forked, and then would
     not inherit parent module state).

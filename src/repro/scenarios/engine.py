@@ -451,7 +451,6 @@ class StreamingEngine:
             proto.rule,
             proto.tie_rule,
             metrics=self._metrics,
-            backend=proto.backend,
             layout=layout,
         )
 

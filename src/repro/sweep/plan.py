@@ -90,8 +90,8 @@ class SweepConfig:
     """One cell of the sweep grid: a workload routed under one config.
 
     ``faults`` uses the :func:`repro.faults.parse_fault_spec` grammar
-    (None or ``"none"`` = fault-free); ``backend`` pins the engine
-    kernel inside worker processes (None = process default). ``trials``
+    (None or ``"none"`` = fault-free); ``backend`` pins the backend
+    name inside worker processes (None = process default). ``trials``
     and ``seed`` define the child-seed range this config owns.
     """
 

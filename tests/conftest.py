@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import get_default_backend, set_default_backend
 from repro.network.butterfly import Butterfly
 from repro.network.mesh import Mesh, Torus
 from repro.paths.collection import PathCollection
@@ -15,6 +16,19 @@ from repro.paths.gadgets import type1_staircase, type1_triangle, type2_bundle
 def rng():
     """A deterministic generator; reseed per test for reproducibility."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def backend_default(backend):
+    """Make the test's ``backend`` parameter the process-default name.
+
+    The engine reads no backend name, so an engine-level test run under
+    each name checks that none of them changes what the engine does.
+    """
+    previous = get_default_backend()
+    set_default_backend(backend)
+    yield backend
+    set_default_backend(previous)
 
 
 @pytest.fixture

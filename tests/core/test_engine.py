@@ -52,10 +52,9 @@ class TestLaunchValidation:
             eng.run_round([Launch(worm=0, delay=0, wavelength=(0, 1))])
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_launch_after_every_worm_retired_rejected(self, backend):
-        eng = RoutingEngine(
-            [chain_worm(uid=0)], CollisionRule.SERVE_FIRST, backend=backend
-        )
+    @pytest.mark.usefixtures("backend_default")
+    def test_launch_after_every_worm_retired_rejected(self):
+        eng = RoutingEngine([chain_worm(uid=0)], CollisionRule.SERVE_FIRST)
         eng.retire_worms([0])
         with pytest.raises(ProtocolError, match="unknown worm uid 0"):
             eng.run_round([Launch(worm=0, delay=0, wavelength=0)])
@@ -258,9 +257,8 @@ class TestLazyOutcomes:
     """A round's outcome records are built only when ``outcomes`` is read."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_clash_free_round_builds_no_outcome_until_read(
-        self, backend, monkeypatch
-    ):
+    @pytest.mark.usefixtures("backend_default")
+    def test_clash_free_round_builds_no_outcome_until_read(self, monkeypatch):
         # Eight worms on disjoint chains: no event shares a channel.
         worms = [chain_worm(uid=i, n=3, tag=i) for i in range(8)]
         built = []
@@ -271,7 +269,7 @@ class TestLazyOutcomes:
             post_init(outcome)
 
         monkeypatch.setattr(worm_module.WormOutcome, "__post_init__", counting)
-        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST, backend=backend)
+        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
         result = engine.run_round(
             Launches(worm=np.arange(8), delay=np.arange(8) % 3,
                      wavelength=np.zeros(8))

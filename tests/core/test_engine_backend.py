@@ -1,16 +1,17 @@
-"""Backend selection plus the round of engine correctness fixes.
+"""Backend names plus the round of engine correctness fixes.
 
-Covers: the ``backend=`` knob (constructor, process default, unknown
-values), the empty-launch observability fix (rounds are tallied even
-when nothing launches), launch validation at the engine boundary
-(negative delays / wavelengths raise ``ProtocolError`` even from
-launch-shaped objects that bypassed ``Launch``'s own checks), the
-stale-occupancy eviction (the dict stays bounded across a long round),
-fixed cases of the clash-only replay (truncation, dead links and
-recorder streams around one clashed event), and fixed cases of the
-serve-first settle step (which clashed events still replay).
-Backend *equivalence* is property-tested in
-``tests/property/test_differential_backend.py``.
+Covers: the backend names (process default, unknown values, and that
+the engine takes none), the empty-launch observability fix (rounds are
+tallied even when nothing launches), launch validation at the engine
+boundary (negative delays / wavelengths raise ``ProtocolError`` even
+from launch-shaped objects that bypassed ``Launch``'s own checks), the
+stale-occupancy eviction in the scalar replay, fixed cases of the
+clash-only replay (truncation, dead links and recorder streams around
+one clashed event), and fixed cases of the serve-first settle step
+(which clashed events still replay). The engine is property-tested
+against the flit-level oracle in
+``tests/property/test_differential_backend.py``, and its full output is
+pinned by ``tests/core/test_golden_rounds.py``.
 """
 
 import numpy as np
@@ -27,9 +28,11 @@ from repro.core.engine import (
     run_round_batch,
     set_default_backend,
 )
+from repro.core.protocol import ProtocolConfig
 from repro.core.records import RoundResult
 from repro.core.reference import reference_run_round
 from repro.errors import ProtocolError
+from repro.observability.analysis import verify_replay
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.metrics import MetricsRegistry
 from repro.optics.coupler import CollisionRule, TieRule
@@ -52,29 +55,27 @@ class _RawLaunch:
 
 class TestBackendSelection:
     def test_default_is_python(self):
+        assert get_default_backend() == "python"
         engine = RoutingEngine(_chain_worms(1), CollisionRule.SERVE_FIRST)
-        assert engine.backend == "python"
+        assert not hasattr(engine, "backend")
 
     def test_explicit_backend(self):
+        # The engine has one kernel and takes no backend name.
         for backend in BACKENDS:
-            engine = RoutingEngine(
-                _chain_worms(1), CollisionRule.SERVE_FIRST, backend=backend
-            )
-            assert engine.backend == backend
+            with pytest.raises(TypeError, match="backend"):
+                RoutingEngine(
+                    _chain_worms(1), CollisionRule.SERVE_FIRST, backend=backend
+                )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ProtocolError, match="backend"):
-            RoutingEngine(
-                _chain_worms(1), CollisionRule.SERVE_FIRST, backend="cuda"
-            )
+            ProtocolConfig(bandwidth=1, backend="cuda")
 
     def test_process_default_round_trips(self):
         assert get_default_backend() == "python"
         set_default_backend("vectorized")
         try:
             assert get_default_backend() == "vectorized"
-            engine = RoutingEngine(_chain_worms(1), CollisionRule.SERVE_FIRST)
-            assert engine.backend == "vectorized"
         finally:
             set_default_backend("python")
 
@@ -83,36 +84,43 @@ class TestBackendSelection:
             set_default_backend("fortran")
         assert get_default_backend() == "python"
 
-    def test_engine_pins_backend_at_construction(self):
-        # Changing the process default later must not retarget live engines.
-        engine = RoutingEngine(_chain_worms(1), CollisionRule.SERVE_FIRST)
-        set_default_backend("vectorized")
+    def test_process_default_never_changes_a_round(self):
+        worms = _chain_worms(3)
+        launches = [Launch(worm=i, delay=i, wavelength=0) for i in range(3)]
+        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
+        want = engine.run_round(launches)
+        assert want.collisions
         try:
-            assert engine.backend == "python"
+            for backend in BACKENDS:
+                set_default_backend(backend)
+                assert engine.run_round(launches) == want
+                fresh = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
+                assert fresh.run_round(launches) == want
         finally:
             set_default_backend("python")
 
-    def test_run_round_wrapper_takes_backend(self):
+    def test_run_round_wrapper_takes_no_backend(self):
         worms = _chain_worms(3)
         launches = [Launch(worm=i, delay=2 * i, wavelength=0) for i in range(3)]
-        results = [
-            run_round(worms, launches, CollisionRule.SERVE_FIRST, backend=b)
-            for b in BACKENDS
-        ]
-        assert results[0] == results[1]
+        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
+        assert run_round(
+            worms, launches, CollisionRule.SERVE_FIRST
+        ) == engine.run_round(launches)
+        with pytest.raises(TypeError, match="backend"):
+            run_round(
+                worms, launches, CollisionRule.SERVE_FIRST, backend="python"
+            )
 
 
 class TestEmptyRoundAccounting:
     """An empty-launch round must still be visible to observability."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_round_counted(self, backend):
+    @pytest.mark.usefixtures("backend_default")
+    def test_empty_round_counted(self):
         registry = MetricsRegistry()
         engine = RoutingEngine(
-            _chain_worms(2),
-            CollisionRule.SERVE_FIRST,
-            metrics=registry,
-            backend=backend,
+            _chain_worms(2), CollisionRule.SERVE_FIRST, metrics=registry
         )
         result = engine.run_round([])
         assert result == RoundResult(outcomes={}, collisions=(), makespan=None)
@@ -137,26 +145,23 @@ class TestLaunchValidationAtEngine:
     """The engine revalidates launches; garbage must not corrupt a round."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_negative_delay_rejected(self, backend):
-        engine = RoutingEngine(
-            _chain_worms(1), CollisionRule.SERVE_FIRST, backend=backend
-        )
+    @pytest.mark.usefixtures("backend_default")
+    def test_negative_delay_rejected(self):
+        engine = RoutingEngine(_chain_worms(1), CollisionRule.SERVE_FIRST)
         with pytest.raises(ProtocolError, match="negative launch delay"):
             engine.run_round([_RawLaunch(0, delay=-1, wavelength=0)])
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_negative_wavelength_rejected(self, backend):
-        engine = RoutingEngine(
-            _chain_worms(1), CollisionRule.SERVE_FIRST, backend=backend
-        )
+    @pytest.mark.usefixtures("backend_default")
+    def test_negative_wavelength_rejected(self):
+        engine = RoutingEngine(_chain_worms(1), CollisionRule.SERVE_FIRST)
         with pytest.raises(ProtocolError, match="negative wavelength"):
             engine.run_round([_RawLaunch(0, delay=0, wavelength=-2)])
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_negative_per_link_wavelength_rejected(self, backend):
-        engine = RoutingEngine(
-            _chain_worms(1), CollisionRule.SERVE_FIRST, backend=backend
-        )
+    @pytest.mark.usefixtures("backend_default")
+    def test_negative_per_link_wavelength_rejected(self):
+        engine = RoutingEngine(_chain_worms(1), CollisionRule.SERVE_FIRST)
         with pytest.raises(ProtocolError, match="negative per-link wavelength"):
             engine.run_round([_RawLaunch(0, delay=0, wavelength=(0, -1))])
 
@@ -172,7 +177,12 @@ class TestLaunchValidationAtEngine:
 
 
 class TestOccupancyEviction:
-    """Stale records are evicted on detection, not re-checked forever."""
+    """The scalar replay evicts a stale record on detection.
+
+    Only replayed events reach the scalar loop, so each case builds a
+    clash cluster in which the replay meets a record whose tail already
+    cleared.
+    """
 
     def _spy_install(self, engine, captured):
         original = engine._install
@@ -184,46 +194,53 @@ class TestOccupancyEviction:
         engine._install = spy
 
     def test_stale_records_evicted(self):
-        # One seed worm delivers; staggered all-lose pairs then arrive at
-        # the first link long after each predecessor's tail cleared. Each
-        # pair finds a stale record (evict) and eliminates itself without
-        # installing, so without eviction the first link's key would pin
-        # a dead record until the end of the round.
-        worms = _chain_worms(8)
+        # Serve-first: worm 0 holds link (0, 1) over [0, 3] and
+        # eliminates worm 1 there at t=2, so the replay installs worm 0.
+        # Worms 2 and 3 tie on (0, 1) at t=5, within the clash gap but
+        # after worm 0's tail cleared: the replay finds worm 0's record
+        # stale, evicts it, and the all-lose pair installs nothing. The
+        # rest of the round is settled in numpy, so nothing else
+        # reaches the occupancy dict and it ends empty; without the
+        # eviction it would still hold worm 0's dead record.
+        worms = _chain_worms(4, length=4)
         engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
         captured = {}
         self._spy_install(engine, captured)
-        launches = [Launch(worm=0, delay=0, wavelength=0)]
-        launches += [Launch(worm=1, delay=10, wavelength=0)]
-        for batch, base in enumerate((20, 30, 40)):
-            launches += [
-                Launch(worm=2 + 2 * batch + k, delay=base, wavelength=0)
-                for k in range(2)
-            ]
+        launches = [
+            Launch(worm=0, delay=0, wavelength=0),
+            Launch(worm=1, delay=2, wavelength=0),
+            Launch(worm=2, delay=5, wavelength=0),
+            Launch(worm=3, delay=5, wavelength=0),
+        ]
+        assert _replayed_positions(
+            worms, launches, CollisionRule.SERVE_FIRST
+        ) == {0: [0], 1: [0], 2: [0], 3: [0]}
         result = engine.run_round(launches)
-        assert result.outcomes[0].delivered and result.outcomes[1].delivered
-        assert sum(not o.delivered for o in result.outcomes.values()) == 6
-        occupancy = captured["occupancy"]
-        # Only the last surviving worm's last-link record may remain; the
-        # contended first-link key was evicted, not left stale.
-        assert len(occupancy) == 1
-        (key, record), = occupancy.items()
-        assert key == (engine._links.index((1, 2)), 0)
-        assert record.run.uid == 1
+        out = result.outcomes
+        assert out[0].delivered
+        assert out[1].blockers == (0,)
+        assert out[2].blockers == (3,) and out[3].blockers == (2,)
+        assert captured["occupancy"] == {}
 
     def test_dict_bounded_by_live_keys_not_arrivals(self):
-        # Many far-apart worms over one path: every arrival evicts its
-        # predecessor's stale record, so the dict never exceeds the two
-        # (link, wavelength) keys no matter how many worms pass through.
+        # Priority rule, so every clashed event replays. A long worm on
+        # a path of its own widens the clash gap to seven steps; two-flit
+        # worms three steps apart over one path are then all clashed,
+        # and each arrival finds its predecessor's record stale. The
+        # dict never exceeds the path's two (link, wavelength) keys no
+        # matter how many worms pass through.
         n = 30
-        worms = _chain_worms(n)
-        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
+        worms = _chain_worms(n) + [Worm(uid=n, path=(5, 6), length=8)]
+        engine = RoutingEngine(worms, CollisionRule.PRIORITY)
         captured = {}
         self._spy_install(engine, captured)
-        launches = [Launch(worm=i, delay=10 * i, wavelength=0) for i in range(n)]
+        launches = [Launch(worm=i, delay=3 * i, wavelength=0) for i in range(n)]
+        launches.append(Launch(worm=n, delay=0, wavelength=0))
+        replayed = _replayed_positions(worms, launches, CollisionRule.PRIORITY)
+        assert replayed == {i: [0, 1] for i in range(n)}
         result = engine.run_round(launches)
         assert all(o.delivered for o in result.outcomes.values())
-        assert len(captured["occupancy"]) <= 2
+        assert len(captured["occupancy"]) == 2
 
 
 class TestFork:
@@ -249,7 +266,7 @@ class TestFork:
 
     def test_fork_rounds_bit_identical(self):
         launches = [Launch(worm=i, delay=i, wavelength=0) for i in range(3)]
-        parent = self._engine(backend="vectorized")
+        parent = self._engine()
         clone = parent.fork()
         assert clone.run_round(launches) == parent.run_round(launches)
 
@@ -276,82 +293,68 @@ class _Collector:
 _LINE = (0, 1, 2, 3, 4, 5, 6, 7)
 
 
-def _all_backends(worms, launches, rule, dead_links=(),
-                  tie_rule=TieRule.ALL_LOSE):
-    """Run one round on every backend, the batch kernel and the oracle.
+def _run_all(worms, launches, rule, dead_links=(), tie_rule=TieRule.ALL_LOSE):
+    """Run one round every way the engine can, plus the oracle.
 
-    Returns ``(results, streams, engine)``: the backends' RoundResults
-    plus ``reference_run_round``'s, and each backend's flight-recorder
-    stream. The ``mixed-*`` entries come from one ``run_round_batch``
-    pass holding a python and a vectorized engine; ``streams`` also
-    carries each one's ``engine_free_events_total`` under
-    ``mixed-<backend>-free``.
+    Returns ``(results, streams, engine)``: ``"engine"`` is a recorded
+    :meth:`RoutingEngine.run_round`, ``"plain"`` the same round without
+    a recorder, ``"stacked-0"``/``"stacked-1"`` two recorded copies of
+    it in one ``run_round_batch`` pass, and ``"reference"``
+    ``reference_run_round``'s result; ``streams`` holds each recorded
+    run's flight-recorder stream.
     """
+    dead = dead_links or None
+
+    def recorder():
+        collector = _Collector()
+        fr = FlightRecorder(collector)
+        fr.describe_worms(worms)
+        fr.begin_round(1)
+        return fr, collector
+
     results, streams = {}, {}
-    for backend in ("python", "vectorized", "batched", "batch-kernel"):
-        collector = _Collector()
-        recorder = FlightRecorder(collector)
-        recorder.describe_worms(worms)
-        recorder.begin_round(1)
-        engine = RoutingEngine(
-            worms, rule, tie_rule,
-            backend="batched" if backend == "batch-kernel" else backend,
-        )
-        if backend == "batch-kernel":
-            [result] = run_round_batch([RoundCall(
-                engine, launches, dead_links=dead_links or None,
-                recorder=recorder,
-            )])
-        else:
-            result = engine.run_round(
-                launches, dead_links=dead_links or None, recorder=recorder
-            )
-        recorder.end_round(result.makespan)
-        results[backend], streams[backend] = result, collector.records
-    # One pass holding a replay-all and a replay-clashes engine.
-    calls, collectors, registries = [], [], []
-    for backend in ("python", "vectorized"):
-        collector = _Collector()
-        recorder = FlightRecorder(collector)
-        recorder.describe_worms(worms)
-        recorder.begin_round(1)
-        registry = MetricsRegistry()
+    fr, collector = recorder()
+    engine = RoutingEngine(worms, rule, tie_rule)
+    result = engine.run_round(launches, dead_links=dead, recorder=fr)
+    fr.end_round(result.makespan)
+    results["engine"], streams["engine"] = result, collector.records
+    results["plain"] = RoutingEngine(worms, rule, tie_rule).run_round(
+        launches, dead_links=dead
+    )
+    calls, collectors = [], []
+    for _ in range(2):
+        fr, collector = recorder()
         calls.append(RoundCall(
-            RoutingEngine(worms, rule, tie_rule, metrics=registry,
-                          backend=backend),
-            launches, dead_links=dead_links or None, recorder=recorder,
+            RoutingEngine(worms, rule, tie_rule), launches,
+            dead_links=dead, recorder=fr,
         ))
         collectors.append(collector)
-        registries.append(registry)
-    for backend, call, collector, registry, result in zip(
-        ("python", "vectorized"), calls, collectors, registries,
-        run_round_batch(calls),
+    for i, (call, collector, result) in enumerate(
+        zip(calls, collectors, run_round_batch(calls))
     ):
         call.recorder.end_round(result.makespan)
-        results[f"mixed-{backend}"] = result
-        streams[f"mixed-{backend}"] = collector.records
-        streams[f"mixed-{backend}-free"] = registry.value(
-            "engine_free_events_total", rule=rule.name.lower()
-        )
+        results[f"stacked-{i}"] = result
+        streams[f"stacked-{i}"] = collector.records
     results["reference"] = reference_run_round(
-        worms, launches, rule, tie_rule, dead_links=dead_links or None
+        worms, launches, rule, tie_rule, dead_links=dead
     )
     return results, streams, engine
 
 
 def _assert_identical(results, streams):
-    py = results["python"]
-    for backend in (
-        "vectorized", "batched", "batch-kernel", "mixed-python",
-        "mixed-vectorized",
-    ):
-        assert results[backend] == py, backend
-        assert results[backend].faulted_links == py.faulted_links, backend
-        assert streams[backend] == streams["python"], backend
-    assert streams["mixed-python-free"] == 0
+    """Every run agrees; the stream replays; the oracle agrees."""
+    want = results["engine"]
+    for name in ("plain", "stacked-0", "stacked-1"):
+        assert results[name] == want, name
+        assert results[name].faulted_links == want.faulted_links, name
+    for name in ("stacked-0", "stacked-1"):
+        assert streams[name] == streams["engine"], name
+    report = verify_replay(streams["engine"])
+    assert report.rounds_checked == 1
+    assert report.mismatches == ()
     ref = results["reference"]
-    assert ref.outcomes == py.outcomes
-    assert ref.makespan == py.makespan
+    assert ref.outcomes == want.outcomes
+    assert ref.makespan == want.makespan
 
 
 def _clashed_positions(engine, launches, uid):
@@ -375,12 +378,11 @@ def _clashed_positions(engine, launches, uid):
 
 def _replayed_positions(worms, launches, rule, tie_rule=TieRule.ALL_LOSE,
                         dead_links=()):
-    """Each worm's positions that the replay-clashes policy replays.
+    """Each worm's positions that the engine replays.
 
-    Spies on the scalar replay of a vectorized engine; worms it never
-    sees are absent.
+    Spies on the engine's scalar replay; worms it never sees are absent.
     """
-    engine = RoutingEngine(worms, rule, tie_rule, backend="vectorized")
+    engine = RoutingEngine(worms, rule, tie_rule)
     replay = engine._resolve_scalar
     seen = {}
 
@@ -400,9 +402,10 @@ class TestClashReplay:
     In the first cases worm 0 runs along ``_LINE`` and meets another
     worm on exactly one link, so it has unclashed events both before and
     after its one clashed event. The serve-first cases after them
-    replay fewer events still. Every backend, the stacked batch kernel
-    and the flit-level oracle must agree on the whole RoundResult, and
-    the backends on the flight-recorder stream.
+    replay fewer events still. The engine with and without a recorder,
+    two copies stacked in one pass and the flit-level oracle must agree
+    on the RoundResult, the recorded runs on the flight-recorder stream,
+    and the stream must pass the replay verifier.
     """
 
     def _truncation_case(self):
@@ -421,7 +424,7 @@ class TestClashReplay:
 
     def test_truncation_caps_unclashed_records(self):
         worms, launches = self._truncation_case()
-        results, streams, engine = _all_backends(
+        results, streams, engine = _run_all(
             worms, launches, CollisionRule.PRIORITY
         )
         _assert_identical(results, streams)
@@ -431,20 +434,20 @@ class TestClashReplay:
             0: _clashed_positions(engine, launches, 0),
             1: _clashed_positions(engine, launches, 1),
         }
-        cut = results["python"].outcomes[0]
+        cut = results["engine"].outcomes[0]
         assert cut.failure is FailureKind.TRUNCATED
         assert cut.delivered_flits == 2
         # Worm 0's last record (position 6, entered at t=6) carries the
         # cut length: 6 + 2 - 1. Uncapped it would end at 6 + 4 - 1, and
         # worm 1's last record ends at t=6.
-        assert results["python"].makespan == 7
+        assert results["engine"].makespan == 7
 
     def test_recorder_sees_cut_length_in_force(self):
         worms, launches = self._truncation_case()
-        _, streams, _ = _all_backends(worms, launches, CollisionRule.PRIORITY)
+        _, streams, _ = _run_all(worms, launches, CollisionRule.PRIORITY)
         surviving = {
             r["pos"]: r["surviving"]
-            for r in streams["vectorized"]
+            for r in streams["engine"]
             if r["kind"] == "worm_advance" and r["worm"] == 0
         }
         # The cut lands in the (t=5, link (3, 4)) group, which sorts
@@ -470,12 +473,12 @@ class TestClashReplay:
 
     def test_elimination_without_faults(self):
         worms, launches = self._elimination_case()
-        results, streams, engine = _all_backends(
+        results, streams, engine = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST
         )
         _assert_identical(results, streams)
         assert _clashed_positions(engine, launches, 0) == [3]
-        lost = results["python"].outcomes[0]
+        lost = results["engine"].outcomes[0]
         assert lost.failure is FailureKind.ELIMINATED
         assert lost.failed_at_link == 3
 
@@ -483,41 +486,41 @@ class TestClashReplay:
         # Worm 0 dies at (3, 4) before reaching the dead (5, 6); worm 2
         # is the only head lost there.
         worms, launches = self._elimination_case()
-        results, streams, _ = _all_backends(
+        results, streams, _ = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(5, 6)]
         )
         _assert_identical(results, streams)
-        out = results["python"].outcomes
+        out = results["engine"].outcomes
         assert out[0].failure is FailureKind.ELIMINATED
         assert out[2].failure is FailureKind.FAULTED
-        assert results["python"].faulted_links == ((5, 6),)
+        assert results["engine"].faulted_links == ((5, 6),)
 
     def test_dead_link_upstream_of_elimination(self):
         # Worm 0 faults at (1, 2) at t=1, so its clashed event at (3, 4)
         # never happens and worm 1 crosses unopposed.
         worms, launches = self._elimination_case()
-        results, streams, _ = _all_backends(
+        results, streams, _ = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(1, 2)]
         )
         _assert_identical(results, streams)
-        out = results["python"].outcomes
+        out = results["engine"].outcomes
         assert out[0].failure is FailureKind.FAULTED
         assert out[0].failed_at_link == 1
         assert out[1].delivered
-        assert results["python"].collisions == ()
+        assert results["engine"].collisions == ()
 
     def test_dead_links_on_both_sides(self):
         worms, launches = self._elimination_case()
-        results, streams, _ = _all_backends(
+        results, streams, _ = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST,
             dead_links=[(5, 6), (1, 2)],
         )
         _assert_identical(results, streams)
-        out = results["python"].outcomes
+        out = results["engine"].outcomes
         assert out[0].failed_at_link == 1 and out[0].failure is FailureKind.FAULTED
         assert out[2].failure is FailureKind.FAULTED
         # Attribution follows event order: worm 0's t=1 hit comes first.
-        assert results["python"].faulted_links == ((1, 2), (5, 6))
+        assert results["engine"].faulted_links == ((1, 2), (5, 6))
 
     # -- the serve-first settle step -----------------------------------------
     #
@@ -542,7 +545,7 @@ class TestClashReplay:
             Launch(worm=1, delay=0, wavelength=0),
             Launch(worm=2, delay=4, wavelength=0),
         ]
-        results, streams, engine = _all_backends(
+        results, streams, engine = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST
         )
         _assert_identical(results, streams)
@@ -550,7 +553,7 @@ class TestClashReplay:
         assert _replayed_positions(
             worms, launches, CollisionRule.SERVE_FIRST
         ) == {0: [2], 1: [1]}
-        out = results["python"].outcomes
+        out = results["engine"].outcomes
         assert out[0].failed_at_link == 2 and out[0].blockers == (1,)
         assert out[1].delivered and out[2].delivered
 
@@ -568,14 +571,14 @@ class TestClashReplay:
             Launch(worm=1, delay=2, wavelength=0),
             Launch(worm=2, delay=4, wavelength=0),
         ]
-        results, streams, _ = _all_backends(
+        results, streams, _ = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST
         )
         _assert_identical(results, streams)
         assert _replayed_positions(
             worms, launches, CollisionRule.SERVE_FIRST
         ) == {0: [3], 1: [1]}
-        out = results["python"].outcomes
+        out = results["engine"].outcomes
         assert out[0].failed_at_link == 3 and out[1].failed_at_link == 1
         assert out[2].delivered
 
@@ -593,7 +596,7 @@ class TestClashReplay:
             Launch(worm=1, delay=2, wavelength=0),
             Launch(worm=2, delay=4, wavelength=0),
         ]
-        results, streams, _ = _all_backends(
+        results, streams, _ = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST,
             tie_rule=TieRule.LOWEST_ID_WINS,
         )
@@ -601,7 +604,7 @@ class TestClashReplay:
         assert _replayed_positions(
             worms, launches, CollisionRule.SERVE_FIRST, TieRule.LOWEST_ID_WINS
         ) == {0: [3], 1: [1], 2: [1]}
-        out = results["python"].outcomes
+        out = results["engine"].outcomes
         assert out[0].delivered
         assert out[1].blockers == (0,) and out[2].blockers == (0,)
         assert out[2].failed_at_link == 1
@@ -621,7 +624,7 @@ class TestClashReplay:
             Launch(worm=1, delay=3, wavelength=0),
             Launch(worm=2, delay=3, wavelength=0),
         ]
-        results, streams, engine = _all_backends(
+        results, streams, engine = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST
         )
         _assert_identical(results, streams)
@@ -629,7 +632,7 @@ class TestClashReplay:
         assert _replayed_positions(
             worms, launches, CollisionRule.SERVE_FIRST
         ) == {0: [5], 2: [1]}
-        out = results["python"].outcomes
+        out = results["engine"].outcomes
         assert out[0].failed_at_link == 5 and out[0].blockers == (2,)
         assert out[1].delivered and out[2].delivered
 
@@ -651,7 +654,7 @@ class TestClashReplay:
             Launch(worm=2, delay=3, wavelength=0),
             Launch(worm=3, delay=4, wavelength=0),
         ]
-        results, streams, engine = _all_backends(
+        results, streams, engine = _run_all(
             worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(3, 4)]
         )
         _assert_identical(results, streams)
@@ -659,13 +662,13 @@ class TestClashReplay:
         assert _replayed_positions(
             worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(3, 4)]
         ) == {}
-        out = results["python"].outcomes
+        out = results["engine"].outcomes
         for uid, pos in ((0, 3), (1, 1), (2, 1)):
             assert out[uid].failure is FailureKind.FAULTED
             assert out[uid].failed_at_link == pos
         assert out[3].delivered
-        assert results["python"].collisions == ()
-        assert results["python"].faulted_links == ((3, 4),)
+        assert results["engine"].collisions == ()
+        assert results["engine"].faulted_links == ((3, 4),)
 
     def test_disagreement_with_the_replay_raises(self, monkeypatch):
         # The replay is checked against the settle step, never silently
@@ -688,8 +691,6 @@ class TestClashReplay:
             Launch(worm=0, delay=0, wavelength=0),
             Launch(worm=1, delay=0, wavelength=0),
         ]
-        engine = RoutingEngine(
-            worms, CollisionRule.SERVE_FIRST, backend="vectorized"
-        )
+        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
         with pytest.raises(ProtocolError, match="worm 0: the replay ends it"):
             engine.run_round(launches)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import RoundCall, RoutingEngine, run_round_batch
+from repro.core.engine import RoutingEngine
 from repro.errors import ProtocolError
 from repro.experiments.workloads import torus_random_function
 from repro.faults.repair import collection_links, reroute_path, surviving_graph
@@ -46,8 +46,8 @@ def _reference_layout(worms):
     return list(index), per_worm
 
 
-def _one_by_one(worms, backend):
-    engine = RoutingEngine(worms[:1], CollisionRule.SERVE_FIRST, backend=backend)
+def _one_by_one(worms):
+    engine = RoutingEngine(worms[:1], CollisionRule.SERVE_FIRST)
     for w in worms[1:]:
         engine.add_worms([w])
     return engine
@@ -87,18 +87,19 @@ def test_layout_matches_per_worm_registration(worms):
     assert engine._ev_worms.start.tolist() == [
         sum(v.n_links for v in worms[: w.uid]) for w in worms
     ]
-    _assert_same_layout(engine, _one_by_one(worms, "python"))
+    _assert_same_layout(engine, _one_by_one(worms))
 
 
 def test_add_worms_in_one_call_matches_one_by_one(worms):
     half = len(worms) // 2
     engine = RoutingEngine(worms[:half], CollisionRule.SERVE_FIRST)
     engine.add_worms(worms[half:])
-    _assert_same_layout(engine, _one_by_one(worms, "python"))
+    _assert_same_layout(engine, _one_by_one(worms))
 
 
 @pytest.mark.parametrize("backend", ["python", "vectorized", "batched"])
-def test_round_matches_per_worm_registration(worms, backend):
+@pytest.mark.usefixtures("backend_default")
+def test_round_matches_per_worm_registration(worms):
     rng = np.random.default_rng(5)
     launches = [
         Launch(
@@ -109,14 +110,9 @@ def test_round_matches_per_worm_registration(worms, backend):
         for w in worms
     ]
     dead = [(worms[0].path[1], worms[0].path[2])] if worms[0].n_links > 1 else []
-    one_pass = RoutingEngine(worms, CollisionRule.SERVE_FIRST, backend=backend)
-    want = _one_by_one(worms, backend).run_round(launches, dead_links=dead)
-    if backend == "batched":
-        (got,) = run_round_batch(
-            [RoundCall(engine=one_pass, launches=launches, dead_links=dead)]
-        )
-    else:
-        got = one_pass.run_round(launches, dead_links=dead)
+    one_pass = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
+    want = _one_by_one(worms).run_round(launches, dead_links=dead)
+    got = one_pass.run_round(launches, dead_links=dead)
     assert got == want
     assert got.collisions
 

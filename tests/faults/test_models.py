@@ -181,3 +181,25 @@ class TestParseFaultSpec:
     def test_every_model_is_a_fault_model(self):
         for model in ALL_MODELS:
             assert isinstance(model, FaultModel)
+
+
+class TestPersistentDeadList:
+    """The persistent model's cached dead-link list, round by round."""
+
+    @pytest.mark.parametrize("rate", [0.005, 0.05, 0.3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_list_equals_a_fresh_walk(self, collection, rate, seed):
+        run = PersistentLinkFailures(rate).start(
+            collection.links, np.random.default_rng(seed)
+        )
+        rng = np.random.default_rng(seed + 100)
+        steps = np.random.default_rng(seed).integers(1, 3, size=60)
+        t = 0
+        for step in steps.tolist():
+            t += step  # some rounds catch up two Markov steps at once
+            got = run.dead_links(t, rng)
+            fresh = [lk for lk, dead in zip(run.links, run._dead) if dead]
+            assert got == (fresh or None), t
+            if got:
+                got.clear()  # the caller's copy: the cache stays intact
+        assert run._dead.any()

@@ -1,26 +1,31 @@
-"""Differential testing: vectorized round kernel vs the scalar engine.
+"""Differential testing: the engine against the flit-level oracle.
 
-The vectorized backend must be *bit-identical* to the python one -- not
-merely equivalent on outcome kinds -- because checkpoint resume, golden
-traces and the CI perf gate all assume a backend is an implementation
-detail. So unlike ``test_differential_engine`` (which compares against
-the brute-force reference and tolerates legitimate blocker-identity
-differences), these tests assert full ``RoundResult`` equality including
-collision events and faulted-link order, plus equality of the flight-
-recorder stream and a replay cross-check of vectorized traces.
+Every round runs three ways: through :meth:`RoutingEngine.run_round`,
+stacked with other trials in one :func:`run_round_batch` pass, and
+through the brute-force :func:`reference_run_round`. The two engine
+runs must be *bit-identical* -- full ``RoundResult`` equality including
+collision events and faulted-link order, plus the flight-recorder
+stream -- because checkpoint resume and golden traces assume stacking
+is an implementation detail. The oracle is compared on observables
+(delivery, flits, failure kind and position, completion time,
+makespan): it may legitimately name other blockers in all-lose ties.
+Recorder streams also go through the replay verifier. Blocker
+identities and collision order are pinned by the golden round corpus
+(``tests/core/test_golden_rounds.py``), which the mesh-scale cases here
+check stacked passes against.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import BACKENDS, RoundCall, RoutingEngine, run_round_batch
-from repro.experiments.workloads import mesh_random_function
+from repro.core.engine import RoundCall, RoutingEngine, run_round_batch
 from repro.core.reference import reference_run_round
 from repro.observability.analysis import verify_replay
 from repro.observability.flightrec import FlightRecorder
 from repro.optics.coupler import CollisionRule, TieRule
-from repro.worms.worm import Launch, Launches, Worm, make_worms
+from repro.worms.worm import Launch, Launches, Worm
+from tests.core.test_golden_rounds import EXPECTED, MESH_SEEDS, digest, mesh_rounds
 
 NODES = 5
 
@@ -87,9 +92,8 @@ class _Collector:
         self.records.append({"kind": kind, **fields})
 
 
-def _round(worms, launches, rule, tie_rule, backend, dead_links=(),
-           recorder=None):
-    return RoutingEngine(worms, rule, tie_rule, backend=backend).run_round(
+def _round(worms, launches, rule, tie_rule, dead_links=(), recorder=None):
+    return RoutingEngine(worms, rule, tie_rule).run_round(
         launches,
         collect_collisions=True,
         dead_links=dead_links or None,
@@ -99,33 +103,51 @@ def _round(worms, launches, rule, tie_rule, backend, dead_links=(),
 
 def _batch_round(worms, launches, rule, tie_rule, dead_links=(),
                  recorder=None):
-    """One round through the batch kernel (a singleton batch)."""
-    engine = RoutingEngine(worms, rule, tie_rule, backend="batched")
-    call = RoundCall(
-        engine=engine,
-        launches=launches,
-        collect_collisions=True,
-        dead_links=dead_links or None,
-        recorder=recorder,
-    )
-    [result] = run_round_batch([call])
-    return result
+    """One round through the batch kernel, stacked behind a decoy trial.
+
+    The decoy is the same round on its own engine, so the pass has two
+    trials with identical channels: any leak across the trial key
+    would show in the result.
+    """
+    calls = [
+        RoundCall(
+            engine=RoutingEngine(worms, rule, tie_rule),
+            launches=launches,
+            collect_collisions=True,
+            dead_links=dead_links or None,
+            recorder=fr,
+        )
+        for fr in (None, recorder)
+    ]
+    return run_round_batch(calls)[1]
+
+
+def _assert_observables(fast, slow):
+    """``fast`` matches the oracle's ``slow`` on every observable."""
+    assert list(fast.outcomes) == list(slow.outcomes)
+    for uid, s in slow.outcomes.items():
+        f = fast.outcomes[uid]
+        assert f.delivered == s.delivered, (uid, f, s)
+        assert f.delivered_flits == s.delivered_flits, (uid, f, s)
+        assert f.failure == s.failure, (uid, f, s)
+        assert f.failed_at_link == s.failed_at_link, (uid, f, s)
+        assert f.completion_time == s.completion_time, (uid, f, s)
+    assert fast.makespan == slow.makespan
 
 
 def _compare(worms, launches, dead_links, rule, tie_rule):
-    py = _round(worms, launches, rule, tie_rule, "python", dead_links)
-    vec = _round(worms, launches, rule, tie_rule, "vectorized", dead_links)
-    bat = _round(worms, launches, rule, tie_rule, "batched", dead_links)
+    one = _round(worms, launches, rule, tie_rule, dead_links)
     kern = _batch_round(worms, launches, rule, tie_rule, dead_links)
-    # Full structural equality: outcomes (including blocker identities),
-    # the collision event sequence in order, makespan, faulted links --
-    # three-way across backends, plus the stacked batch kernel itself.
-    assert py == vec, (py, vec)
-    assert py == bat, (py, bat)
-    assert py == kern, (py, kern)
-    assert py.faulted_links == vec.faulted_links
-    assert py.faulted_links == bat.faulted_links
-    assert py.faulted_links == kern.faulted_links
+    # Full structural equality between the one-call pass and the
+    # stacked kernel: outcomes (including blocker identities), the
+    # collision event sequence in order, makespan, faulted links.
+    assert one == kern, (one, kern)
+    assert one.faulted_links == kern.faulted_links
+    slow = reference_run_round(worms, launches, rule, tie_rule,
+                               dead_links=dead_links or None)
+    _assert_observables(one, slow)
+    if dead_links:
+        assert set(one.faulted_links) <= set(dead_links)
 
 
 class TestBackendBitIdentity:
@@ -158,12 +180,10 @@ class TestBackendBitIdentity:
 
 
 class TestVectorizedVsReference:
-    """Triangulate: vectorized vs the per-flit brute-force simulator.
+    """The engine vs the per-flit brute-force simulator, fault-free.
 
     Blocker identities may legitimately differ in all-lose ties, so this
-    compares the observables (as ``test_differential_engine`` does for
-    the scalar engine), closing the loop vectorized == scalar ==
-    reference.
+    compares the observables (as ``test_differential_engine`` does).
     """
 
     @given(instances(max_dead=0))
@@ -171,43 +191,39 @@ class TestVectorizedVsReference:
     def test_serve_first(self, inst):
         worms, launches, _ = inst
         fast = _round(worms, launches, CollisionRule.SERVE_FIRST,
-                      TieRule.ALL_LOSE, "vectorized")
+                      TieRule.ALL_LOSE)
         slow = reference_run_round(worms, launches, CollisionRule.SERVE_FIRST,
                                    TieRule.ALL_LOSE)
-        assert set(fast.outcomes) == set(slow.outcomes)
-        for uid in fast.outcomes:
-            f, s = fast.outcomes[uid], slow.outcomes[uid]
-            assert f.delivered == s.delivered, (uid, f, s)
-            assert f.delivered_flits == s.delivered_flits, (uid, f, s)
-            assert f.failure == s.failure, (uid, f, s)
-            assert f.failed_at_link == s.failed_at_link, (uid, f, s)
-            assert f.completion_time == s.completion_time, (uid, f, s)
-        assert fast.makespan == slow.makespan
+        _assert_observables(fast, slow)
 
 
 class TestRecorderStream:
     @given(instances())
     @settings(max_examples=75, deadline=None)
     def test_flight_records_bit_identical(self, inst):
+        # The one-call pass, the stacked kernel and a run without a
+        # recorder give one result; the recorded streams are equal and
+        # replay to that result's makespan.
         worms, launches, dead_links = inst
-        streams = []
-        for backend in ("python", "vectorized", "batched", "batch-kernel"):
+        rule, tie_rule = CollisionRule.SERVE_FIRST, TieRule.ALL_LOSE
+        streams, results = [], []
+        for run in (_round, _batch_round):
             collector = _Collector()
             fr = FlightRecorder(collector)
             fr.describe_worms(worms)
             fr.begin_round(1)
-            if backend == "batch-kernel":
-                result = _batch_round(worms, launches,
-                                      CollisionRule.SERVE_FIRST,
-                                      TieRule.ALL_LOSE, dead_links,
-                                      recorder=fr)
-            else:
-                result = _round(worms, launches, CollisionRule.SERVE_FIRST,
-                                TieRule.ALL_LOSE, backend, dead_links,
-                                recorder=fr)
+            result = run(worms, launches, rule, tie_rule, dead_links,
+                         recorder=fr)
             fr.end_round(result.makespan)
             streams.append(collector.records)
-        assert all(s == streams[0] for s in streams[1:])
+            results.append(result)
+        assert streams[0] == streams[1]
+        assert results[0] == results[1] == _round(
+            worms, launches, rule, tie_rule, dead_links
+        )
+        report = verify_replay(streams[0])
+        assert report.rounds_checked == 1
+        assert report.mismatches == ()
 
     @given(instances())
     @settings(max_examples=75, deadline=None)
@@ -221,8 +237,7 @@ class TestRecorderStream:
         fr.describe_worms(worms)
         fr.begin_round(1)
         result = _round(worms, launches, CollisionRule.PRIORITY,
-                        TieRule.ALL_LOSE, "vectorized", dead_links,
-                        recorder=fr)
+                        TieRule.ALL_LOSE, dead_links, recorder=fr)
         fr.end_round(result.makespan)
         report = verify_replay(collector)
         assert report.rounds_checked == 1
@@ -232,11 +247,10 @@ class TestRecorderStream:
 class TestBatchKernelStacking:
     """Many trials stacked into ONE ``run_round_batch`` call.
 
-    The batched backend's whole claim is that stacking K independent
-    rounds into one set of ``(trial, link, wavelength)``-keyed arrays
-    changes nothing: every trial's RoundResult -- and its recorder
-    stream -- must equal the same trial run alone through the scalar
-    engine.
+    Stacking K independent rounds into one set of ``(trial, link,
+    wavelength)``-keyed arrays changes nothing: every trial's
+    RoundResult -- and its recorder stream -- must equal the same trial
+    run alone.
     """
 
     @given(st.lists(instances(), min_size=2, max_size=4))
@@ -244,13 +258,12 @@ class TestBatchKernelStacking:
     def test_stacked_rounds_bit_identical(self, insts):
         for rule, tie_rule in RULES:
             solo = [
-                _round(worms, launches, rule, tie_rule, "python", dead)
+                _round(worms, launches, rule, tie_rule, dead)
                 for worms, launches, dead in insts
             ]
             calls = [
                 RoundCall(
-                    engine=RoutingEngine(worms, rule, tie_rule,
-                                         backend="batched"),
+                    engine=RoutingEngine(worms, rule, tie_rule),
                     launches=launches,
                     collect_collisions=True,
                     dead_links=dead or None,
@@ -273,7 +286,7 @@ class TestBatchKernelStacking:
             fr.describe_worms(worms)
             fr.begin_round(1)
             result = _round(worms, launches, CollisionRule.SERVE_FIRST,
-                            TieRule.ALL_LOSE, "python", dead, recorder=fr)
+                            TieRule.ALL_LOSE, dead, recorder=fr)
             fr.end_round(result.makespan)
             solo_streams.append(collector.records)
 
@@ -285,7 +298,7 @@ class TestBatchKernelStacking:
         calls = [
             RoundCall(
                 engine=RoutingEngine(worms, CollisionRule.SERVE_FIRST,
-                                     TieRule.ALL_LOSE, backend="batched"),
+                                     TieRule.ALL_LOSE),
                 launches=launches,
                 collect_collisions=True,
                 dead_links=dead or None,
@@ -318,10 +331,10 @@ def _as_columns(launches):
 class TestColumnarLaunches:
     """A round launched as columns equals the round launched as objects.
 
-    Every backend, under every rule and tie rule, with per-link
-    wavelength tuples, dead links and a flight recorder: the two forms
-    give equal RoundResults, outcomes in the same order, the same
-    recorder stream, and the flit-level oracle's observables.
+    Under every rule and tie rule, with per-link wavelength tuples, dead
+    links and a flight recorder: the two forms give equal RoundResults,
+    outcomes in the same order, the same recorder stream, and the
+    flit-level oracle's observables.
     """
 
     @given(instances(), st.sampled_from(RULES), st.booleans())
@@ -331,123 +344,46 @@ class TestColumnarLaunches:
         rule, tie_rule = rules
         columns = _as_columns(launches)
         assert list(columns) == launches
-        for backend in BACKENDS:
-            got = []
-            for form in (launches, columns):
-                collector = _Collector() if record else None
-                recorder = None
-                if record:
-                    recorder = FlightRecorder(collector)
-                    recorder.describe_worms(worms)
-                    recorder.begin_round(1)
-                result = _round(worms, form, rule, tie_rule, backend,
-                                dead_links, recorder=recorder)
-                if record:
-                    recorder.end_round(result.makespan)
-                got.append((result, collector and collector.records))
-            (a, stream_a), (b, stream_b) = got
-            assert a == b, (backend, a, b)
-            assert list(a.outcomes) == list(b.outcomes) == [
-                launch.worm for launch in launches
-            ]
-            assert a.faulted_links == b.faulted_links
-            assert a.failure_counts == b.failure_counts
-            assert stream_a == stream_b, backend
+        got = []
+        for form in (launches, columns):
+            collector = _Collector() if record else None
+            recorder = None
+            if record:
+                recorder = FlightRecorder(collector)
+                recorder.describe_worms(worms)
+                recorder.begin_round(1)
+            result = _round(worms, form, rule, tie_rule, dead_links,
+                            recorder=recorder)
+            if record:
+                recorder.end_round(result.makespan)
+            got.append((result, collector and collector.records))
+        (a, stream_a), (b, stream_b) = got
+        assert a == b, (a, b)
+        assert list(a.outcomes) == list(b.outcomes) == [
+            launch.worm for launch in launches
+        ]
+        assert a.faulted_links == b.faulted_links
+        assert a.failure_counts == b.failure_counts
+        assert stream_a == stream_b
         slow = reference_run_round(worms, columns, rule, tie_rule,
                                    dead_links=dead_links or None)
-        assert list(slow.outcomes) == list(b.outcomes)
-        for uid, s in slow.outcomes.items():
-            f = b.outcomes[uid]
-            assert f.delivered == s.delivered, (uid, f, s)
-            assert f.delivered_flits == s.delivered_flits, (uid, f, s)
-            assert f.failure == s.failure, (uid, f, s)
-            assert f.failed_at_link == s.failed_at_link, (uid, f, s)
-            assert f.completion_time == s.completion_time, (uid, f, s)
-        assert b.makespan == slow.makespan
-
-
-#: Seeds of the mesh-scale differential; each draws a random function
-#: on the 6x6 mesh and three rounds of delays and priorities.
-MESH_SEEDS = range(8)
-
-
-def _mesh_case(seed):
-    """Worms of a 6x6-mesh random function (L=4) and their round draws."""
-    worms = make_worms(mesh_random_function(6, 2, rng=seed).paths, 4)
-    rng = np.random.default_rng(seed)
-    delays = rng.integers(0, 6, size=(3, len(worms)))
-    priorities = np.array([rng.permutation(len(worms)) for _ in range(3)])
-    return worms, delays, priorities
-
-
-def _mesh_rounds(cases, rule, tie_rule, backend):
-    """The first three rounds of every case, on one wavelength (B=1).
-
-    Each round relaunches the worms not yet delivered. ``"batch-kernel"``
-    stacks every case's round into one ``run_round_batch`` pass. Returns
-    each case's RoundResults and flight-recorder stream.
-    """
-    engines, recorders, collectors, active = [], [], [], []
-    for worms, _, _ in cases:
-        engines.append(RoutingEngine(
-            worms, rule, tie_rule,
-            backend="batched" if backend == "batch-kernel" else backend,
-        ))
-        collector = _Collector()
-        recorder = FlightRecorder(collector)
-        recorder.describe_worms(worms)
-        collectors.append(collector)
-        recorders.append(recorder)
-        active.append({w.uid for w in worms})
-    results = [[] for _ in cases]
-    for r in range(3):
-        calls = []
-        for (_, delays, priorities), engine, recorder, alive in zip(
-            cases, engines, recorders, active
-        ):
-            recorder.begin_round(r + 1)
-            launches = [
-                Launch(worm=uid, delay=int(delays[r, uid]), wavelength=0,
-                       priority=int(priorities[r, uid]))
-                for uid in sorted(alive)
-            ]
-            calls.append(RoundCall(engine, launches, recorder=recorder))
-        if backend == "batch-kernel":
-            round_results = run_round_batch(calls)
-        else:
-            round_results = [
-                call.engine.run_round(call.launches, recorder=call.recorder)
-                for call in calls
-            ]
-        for i, result in enumerate(round_results):
-            recorders[i].end_round(result.makespan)
-            results[i].append(result)
-            active[i] -= {
-                uid for uid, out in result.outcomes.items() if out.delivered
-            }
-    return results, [collector.records for collector in collectors]
+        _assert_observables(b, slow)
 
 
 class TestMeshScale:
-    """Seeded 6x6-mesh rounds against the replay-all backend.
+    """Seeded 6x6-mesh rounds, stacked, against the golden round corpus.
 
     Instances of five worms or fewer rarely chain one elimination into
     another three deep; 36 worms on one wavelength do, so the serve-first
-    settle step meets long cascades here.
+    settle step meets long cascades here. The corpus pins each seed's
+    three rounds run alone; here every seed's round runs in one stacked
+    pass, and each seed must still reproduce its digest.
     """
 
     @pytest.mark.parametrize("rule, tie_rule", RULES)
     def test_rounds_and_streams_bit_identical(self, rule, tie_rule):
-        cases = [_mesh_case(seed) for seed in MESH_SEEDS]
-        want, want_streams = _mesh_rounds(cases, rule, tie_rule, "python")
-        assert any(
-            result.collisions for rounds in want for result in rounds
-        )
-        for backend in ("vectorized", "batched", "batch-kernel"):
-            got, streams = _mesh_rounds(cases, rule, tie_rule, backend)
-            for seed, a, b in zip(MESH_SEEDS, want, got):
-                assert a == b, (backend, seed)
-                assert [r.faulted_links for r in a] == [
-                    r.faulted_links for r in b
-                ], (backend, seed)
-            assert streams == want_streams, backend
+        tag = f"{rule.name.lower()}-{tie_rule.name.lower()}"
+        stacked = mesh_rounds(MESH_SEEDS, rule, tie_rule, stacked=True)
+        for seed, (rounds, stream) in zip(MESH_SEEDS, stacked):
+            name = f"mesh/{tag}/{seed}"
+            assert digest(rounds, stream) == EXPECTED[name], name
