@@ -1065,9 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=list(BACKENDS),
             default=None,
-            help="trial dispatch (bit-identical results; python and "
-            "vectorized run one engine kernel a trial at a time, batched "
-            "adds lockstep trial slices -- see docs/PERFORMANCE.md)",
+            help="backend label recorded with the run; the names are "
+            "aliases that run the same code (see docs/PERFORMANCE.md)",
         )
 
     def _add_ledger_flag(p) -> None:

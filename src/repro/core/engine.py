@@ -62,8 +62,8 @@ flight-recorder stream are bit-identical to running that trial alone. A
 one-call pass stacks nothing and sorts without the trial key.
 
 The backend names (:data:`BACKENDS`) select nothing here: every name
-runs this one kernel, and ``"batched"`` only opts trial drivers into
-lockstep passes over many trials.
+runs this one kernel, and the trial runner steps trials in lockstep
+passes under every name.
 
 Every sort goes through :func:`_lexorder`, which packs the integer key
 columns into as few int64 words as fit and sorts those.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -62,7 +63,8 @@ class PathCollection:
         _check_paths(enumerate(self._paths), require_simple)
         self.topology = topology
         if topology is not None:
-            topology.validate_paths(self._paths)
+            # Validating and compiling the layout is one walk of the links.
+            self.__dict__["layout"] = _validated_layout(self._paths, topology)
 
     # -- container protocol ------------------------------------------------
 
@@ -107,14 +109,13 @@ class PathCollection:
         """The paths compiled to numpy link ids, in uid order.
 
         Ids are the topology's ``link_index`` when the collection has a
-        topology, else the collection's own links in order of first
-        appearance. Routing engines build their link ids and event
+        topology (compiled while the constructor validates the paths),
+        else the collection's own links in order of first appearance.
+        Routing engines build their link ids and event
         tables from it (see :mod:`repro.paths.layout`), and
         :meth:`rerouted` splices it instead of compiling again.
         """
-        topology = self.topology
-        universe = topology_universe(topology) if topology is not None else None
-        return LinkLayout.compile(self._paths, universe)
+        return LinkLayout.compile(self._paths)
 
     # -- the paper's measures -----------------------------------------------
 
@@ -405,6 +406,28 @@ def _link_paths(paths: Sequence[tuple]) -> dict[tuple, list[int]]:
         for a, b in zip(path, path[1:]):
             index.setdefault((a, b), []).append(pid)
     return index
+
+
+def _validated_layout(paths: Sequence[tuple], topology: Topology) -> LinkLayout:
+    """``paths`` compiled over ``topology``'s links, which they must walk.
+
+    A path that leaves the topology is handed to
+    :meth:`~repro.network.topology.Topology.validate_path`, which raises
+    the error naming its first unknown node or non-link step.
+    """
+    universe = topology_universe(topology)
+    try:
+        return LinkLayout(universe, *universe.lookup(paths))
+    except (KeyError, TypeError):
+        index = universe.index
+        for path in paths:
+            try:
+                walks = all(map(index.__contains__, pairwise(path)))
+            except TypeError:  # an unhashable node
+                walks = False
+            if not walks:
+                topology.validate_path(path)
+        raise
 
 
 def _check_paths(numbered: Iterable[tuple[int, tuple]], require_simple: bool) -> None:

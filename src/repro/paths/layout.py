@@ -53,6 +53,19 @@ class LinkUniverse:
             self._index = {link: g for g, link in enumerate(self.links)}
         return self._index
 
+    def lookup(self, paths: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
+        """``(flat ids, per-path link counts)`` of ``paths`` in this universe.
+
+        Raises KeyError when a path uses a link this universe lacks (and
+        TypeError when a node is unhashable).
+        """
+        count = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths)) - 1
+        steps = chain.from_iterable(map(pairwise, paths))
+        flat = np.fromiter(
+            map(self.index.__getitem__, steps), dtype=np.int64, count=int(count.sum())
+        )
+        return flat, count
+
     def ids(
         self, paths: Sequence[Sequence]
     ) -> tuple[np.ndarray, np.ndarray, "LinkUniverse"]:
@@ -62,17 +75,13 @@ class LinkUniverse:
         links then get ids after the existing ones, in order of first
         appearance, in a new universe.
         """
-        count = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths)) - 1
-        total = int(count.sum())
         if self.links:
             try:
-                steps = chain.from_iterable(map(pairwise, paths))
-                flat = np.fromiter(
-                    map(self.index.__getitem__, steps), dtype=np.int64, count=total
-                )
-                return flat, count, self
+                return (*self.lookup(paths), self)
             except KeyError:
                 pass
+        count = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths)) - 1
+        total = int(count.sum())
         index = dict(self.index)
         flat = np.fromiter(
             (index.setdefault(link, len(index))

@@ -11,7 +11,6 @@ results.
 """
 
 from repro.runners.protocol_trials import (
-    instrumented_protocol_trial,
     instrumented_protocol_trial_batch,
     protocol_trial,
     protocol_trial_batch,
@@ -25,7 +24,6 @@ __all__ = [
     "spawn_seeds",
     "protocol_trial",
     "protocol_trial_batch",
-    "instrumented_protocol_trial",
     "instrumented_protocol_trial_batch",
     "route_collection_trials",
 ]

@@ -425,12 +425,14 @@ class TrialRunner:
     over width-1 slices, so timeout, retry and progress stay per trial.
     With ``batch_size=k`` ``fn`` takes a **list of seeds** and returns
     one result per seed (in seed order), over slices of up to ``k``
-    seeds. This is how the batched engine backend amortises its
-    per-round array passes across a worker's whole seed slice. Results,
-    order, and checkpoint bytes are independent of the slice boundaries
-    (each trial still depends only on its own seed); per-trial progress
-    reports are preserved (one per trial, emitted when its unit
-    settles).
+    seeds. This is how protocol trials run under every backend name
+    (:func:`~repro.runners.protocol_trials.protocol_dispatch`): a worker
+    steps its slice in lockstep, amortising each engine pass across the
+    slice, so a ``timeout`` or ``retries`` there bounds a whole slice,
+    not one trial. Results, order, and checkpoint bytes are independent
+    of the slice boundaries (each trial still depends only on its own
+    seed); per-trial progress reports are preserved (one per trial,
+    emitted when its unit settles).
     """
 
     def __init__(

@@ -109,9 +109,10 @@ def execute_shard(
     sweep_dir = pathlib.Path(sweep_dir)
     ckpt = checkpoint_path(sweep_dir, shard_index)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
-    # With jobs=1 a "batched" shard is one lockstep batch: the sort
-    # kernel amortises across every seed while each trial stays
-    # bit-identical to a per-seed run (checkpoint resume included).
+    # With jobs=1 a shard is one lockstep slice (unless its collection
+    # is past the slice's event budget): each engine pass amortises
+    # across every seed while each trial stays bit-identical to a
+    # per-seed run (checkpoint resume included).
     backend, trial_fn, batch_size = protocol_dispatch(
         collection, pconfig, trials=len(shard.seeds)
     )

@@ -37,6 +37,62 @@ class TestConstruction:
         assert list(pc) == [("a", "b"), ("b", "c")]
 
 
+class TestTopologyValidation:
+    """Construction validates and compiles the layout in one link walk.
+
+    A path that leaves the topology fails with the error
+    ``Topology.validate_path`` gives it, and only that path is handed
+    to ``validate_path``.
+    """
+
+    @staticmethod
+    def _line():
+        import networkx as nx
+
+        from repro.network.topology import Topology
+
+        return Topology(nx.path_graph(4), name="line")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((0, 9), "path node 9 is not in line"),
+            ((0, 2), "path step 0 -> 2 is not a link of line"),
+            ((0, 1, 3), "path step 1 -> 3 is not a link of line"),
+            ((0, 2, 9), "path node 9 is not in line"),
+            ((0, [1]), "path node [1] is not in line"),
+        ],
+    )
+    def test_bad_path_message(self, bad, message, monkeypatch):
+        from repro.errors import TopologyError
+
+        line = self._line()
+        checked = []
+        validate = type(line).validate_path
+
+        def spy(self, path):
+            checked.append(path)
+            return validate(self, path)
+
+        monkeypatch.setattr(type(line), "validate_path", spy)
+        # The first path off the topology is named, not a later one.
+        paths = [(0, 1, 2), (3, 2), bad, (0, 3)]
+        with pytest.raises(TopologyError) as info:
+            PathCollection(paths, topology=line, require_simple=False)
+        assert str(info.value) == message
+        assert checked == [bad]
+
+    def test_layout_uses_the_link_index(self):
+        line = self._line()
+        pc = PathCollection([(0, 1, 2), (3, 2, 1)], topology=line)
+        index = line.link_index
+        assert pc.layout.flat.tolist() == [
+            index[(0, 1)], index[(1, 2)], index[(3, 2)], index[(2, 1)]
+        ]
+        assert pc.layout.count.tolist() == [2, 2]
+        assert pc.layout.universe.links == line.directed_links
+
+
 class TestMeasures:
     def test_dilation(self):
         pc = PathCollection([["a", "b"], ["x", "y", "z", "w"]])
