@@ -200,6 +200,49 @@ class TestProtocolResultRoundTrip:
         )
         assert first == again
 
+    def test_route_collection_trials_journals_whole_slices(
+        self, tmp_path, monkeypatch
+    ):
+        """The journal of a default-name run advances a lockstep slice at a time."""
+        from repro.runners import protocol_trials
+
+        collection = mesh_random_function(4, 2, rng=7)
+        kwargs = dict(worm_length=3, seed=9)
+        fresh = route_collection_trials(collection, 2, 6, **kwargs)
+
+        # At jobs=1 the six trials are one slice: a kill before it
+        # settles journals nothing, and settling it is one write.
+        def killed(*args, **kw):
+            raise _Abort("killed inside the slice")
+
+        ckpt = tmp_path / "one.json"
+        with monkeypatch.context() as m:
+            m.setattr(protocol_trials, "run_protocol_batch", killed)
+            with pytest.raises(TrialError):
+                route_collection_trials(collection, 2, 6, checkpoint=ckpt, **kwargs)
+        assert not ckpt.exists() or json.loads(ckpt.read_text())["completed"] == {}
+        reg = MetricsRegistry()
+        route_collection_trials(
+            collection, 2, 6, checkpoint=tmp_path / "m.json", metrics=reg, **kwargs
+        )
+        assert reg.value("runner_checkpoint_writes_total") == 1
+
+        # Two trials a slice: killed while the second slice reports, the
+        # journal keeps both settled slices and the rerun runs the rest.
+        links = int(collection.layout.count.sum())
+        monkeypatch.setattr(protocol_trials, "_LOCKSTEP_EVENTS", 2 * links)
+        ckpt = tmp_path / "two.json"
+        with pytest.raises(_Abort):
+            route_collection_trials(
+                collection, 2, 6, checkpoint=ckpt, progress=_abort_after(3),
+                **kwargs,
+            )
+        completed = json.loads(ckpt.read_text())["completed"]
+        assert sorted(completed, key=int) == ["0", "1", "2", "3"]
+        assert route_collection_trials(
+            collection, 2, 6, checkpoint=ckpt, **kwargs
+        ) == fresh
+
 
 class TestDurableRewrite:
     def test_torn_write_leaves_previous_state(self, tmp_path):
