@@ -66,8 +66,8 @@ from repro.errors import ProtocolError
 from repro.faults.health import LinkHealthMonitor, StallDetector
 from repro.faults.models import FaultModel
 from repro.faults.repair import (
+    SurvivingGraph,
     collection_links,
-    cut_links,
     reroute_path,
     surviving_graph,
 )
@@ -227,7 +227,7 @@ class _TrialState:
         "dl",
         "fault_run",
         "monitor",
-        "surviving",
+        "cut_mask",
         "cut",
         "stall",
         "completed",
@@ -350,10 +350,10 @@ class TrialAndFailureProtocol:
                 dilation=collection.dilation,
                 congestion=collection.path_congestion,
             )
-        # Lockstep siblings share their donor's pristine repair graph,
-        # built at the family's first repair attempt (_pristine_graph).
+        # Lockstep siblings share their donor's compiled repair graph,
+        # built at the family's first conviction (_pristine_graph).
         self._graph_owner = share._graph_owner if share is not None else self
-        self._repair_graph: dict | None = None
+        self._repair_graph: SurvivingGraph | None = None
         self._repaired = False
 
     def _build_engines(self, worms: list[Worm], collection: PathCollection) -> None:
@@ -423,19 +423,19 @@ class TrialAndFailureProtocol:
 
     # -- fault-awareness helpers ---------------------------------------------
 
-    def _pristine_graph(self) -> dict:
-        """The uncut surviving graph of the collection, read-only.
+    def _pristine_graph(self) -> SurvivingGraph:
+        """The collection's compiled surviving graph, read-only.
 
-        Built at the first repair attempt of this protocol or of any
+        Built at the first conviction seen by this protocol or by any
         lockstep sibling sharing its construction, and kept by the
         donor, so a family of trials walks the links once and a trial
-        that never repairs never walks them.
+        that convicts no link never walks them.
         """
         owner = self._graph_owner
         if owner._repair_graph is None:
             coll = owner.collection
             owner._repair_graph = surviving_graph(
-                collection_links(coll.paths, coll.topology), ()
+                collection_links(coll.paths, coll.topology)
             )
         return owner._repair_graph
 
@@ -445,11 +445,15 @@ class TrialAndFailureProtocol:
         Replacement paths are shortest paths on the surviving directed
         graph (the topology's links when the collection has a topology,
         else the union of the collection's own links) minus the
-        suspected set. The trial copies the collection's pristine graph
-        (:meth:`_pristine_graph`) at its first repair attempt and from
-        then on deletes each newly convicted link from its copy, which
-        keeps every other neighbour's order and so the BFS tie breaking
-        of a fresh build. Returns the rerouted worms' new paths
+        suspected set. All trials of a family share the collection's
+        compiled graph (:meth:`_pristine_graph`); each keeps its
+        convictions as a cut mask over the graph's link ids, setting the
+        newly convicted links' entries, and the BFS skips masked links
+        in the graph's fixed neighbour order, so tie breaking is that of
+        a fresh build. Nothing is scanned unless a link was convicted
+        since the last attempt: until then every worm it left stranded
+        still has no surviving route, and no other worm is stranded.
+        Returns the rerouted worms' new paths
         by uid (empty when nothing changed); only those entries of
         ``self.worms`` are replaced. The caller patches the live
         collection with :meth:`PathCollection.rerouted`, which validates
@@ -461,22 +465,23 @@ class TrialAndFailureProtocol:
         exhaustion.
         """
         monitor = st.monitor
+        suspected = monitor.suspected
+        if suspected == st.cut:
+            return {}
+        graph = self._pristine_graph()
+        if st.cut_mask is None:
+            st.cut_mask = bytearray(graph.dead)
+        graph.cut(st.cut_mask, suspected - st.cut)
+        st.cut = suspected
         live_paths = st.live_paths
         stranded = [
             uid for uid in st.active if monitor.is_suspected_path(live_paths[uid])
         ]
-        if not stranded:
-            return {}
-        suspected = monitor.suspected
-        if st.surviving is None:
-            st.surviving = {u: list(vs) for u, vs in self._pristine_graph().items()}
-        cut_links(st.surviving, suspected - st.cut)
-        st.cut = suspected
         changes: dict[int, tuple] = {}
         t = st.t
         for uid in stranded:
             path = live_paths[uid]
-            new_path = reroute_path(st.surviving, path[0], path[-1])
+            new_path = reroute_path(graph, path[0], path[-1], st.cut_mask)
             if new_path is None or new_path == path:
                 continue
             st.repairs.append(
@@ -578,8 +583,8 @@ class TrialAndFailureProtocol:
             else None
         )
         st.monitor = LinkHealthMonitor(cfg.suspect_after)
-        st.surviving = None
-        st.cut = set()
+        st.cut_mask = None
+        st.cut = frozenset()
         st.stall = StallDetector(
             cfg.backoff_after, cfg.backoff_cap, cooldown=cfg.backoff_cooldown
         )
@@ -717,7 +722,7 @@ class TrialAndFailureProtocol:
             st.completed = True
             return True
 
-        if cfg.repair != "reroute" or not st.monitor.suspected:
+        if cfg.repair != "reroute":
             return False
         changes = self._attempt_repairs(st)
         if changes:

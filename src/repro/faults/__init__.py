@@ -36,8 +36,8 @@ from repro.faults.models import (
     WindowedFaults,
 )
 from repro.faults.repair import (
+    SurvivingGraph,
     collection_links,
-    cut_links,
     reroute_path,
     surviving_graph,
 )
@@ -63,8 +63,8 @@ __all__ = [
     "WindowedFaults",
     "FAULT_SPEC_NAMES",
     "parse_fault_spec",
+    "SurvivingGraph",
     "collection_links",
-    "cut_links",
     "reroute_path",
     "surviving_graph",
 ]

@@ -210,13 +210,16 @@ class PathCollection:
         require_simple=False)``, including the errors it raises. Only
         the replaced paths are checked and validated against the
         topology. A compiled :attr:`layout` is spliced: only the replaced
-        rows' links are looked up. When this collection's share matrix
-        is cached and it has at most ``_PATCH_MAX_PATHS`` paths, the
-        result gets a copy of the matrix with just the replaced rows and
-        columns recomputed from the result's layout (its
-        :attr:`per_path_congestion` are then the row sums): an O(n**2)
-        copy plus O(replaced * links) work, instead of a rebuild that
-        also re-validates every path. Everything else the result
+        rows' links are looked up, and the result's :attr:`dilation` is
+        read off the spliced link counts. When this collection's share
+        matrix is cached and it has at most ``_PATCH_MAX_PATHS`` paths,
+        the result gets a copy of the matrix with every replaced row and
+        column recomputed in one array step (its
+        :attr:`per_path_congestion` are then the row sums): a
+        ``replaced x links`` hit mask of the new paths' links, gathered
+        over the spliced layout and OR-reduced per path. That is an
+        O(n**2) copy plus O(replaced * layout) work, instead of a rebuild
+        that also re-validates every path. Everything else the result
         computes lazily, as a fresh build would. Empty ``changes``
         return this collection itself. Used by the protocol's reroute
         repair.
@@ -243,21 +246,24 @@ class PathCollection:
         child.topology = self.topology
         layout = self.__dict__.get("layout")
         if layout is not None:
-            child.__dict__["layout"] = layout.spliced(new)
+            layout = child.__dict__["layout"] = layout.spliced(new)
+            child.__dict__["dilation"] = int(layout.count.max())
         shares = self.__dict__.get("_share_matrix")
         if shares is not None and n <= _PATCH_MAX_PATHS:
             layout = child.layout
-            owner = np.repeat(np.arange(n), layout.count)
+            rows = np.fromiter(new, dtype=np.int64, count=len(new))
+            slot = np.full(n, -1, dtype=np.int64)
+            slot[rows] = np.arange(rows.shape[0])
+            entry = np.repeat(slot, layout.count)
+            own = entry >= 0
+            # hit[r, g]: replaced path rows[r] crosses global link g.
+            hit = np.zeros((rows.shape[0], len(layout.universe.links)), dtype=bool)
+            hit[entry[own], layout.flat[own]] = True
+            # Gather the hits over every path's links, OR them per path.
+            sharing = np.logical_or.reduceat(hit[:, layout.flat], layout.start, axis=1)
             shares = shares.copy()
-            ids = list(new)
-            shares[ids, :] = 0.0
-            shares[:, ids] = 0.0
-            for pid in ids:
-                start = layout.start[pid]
-                own = layout.flat[start : start + layout.count[pid]]
-                sharing = owner[np.isin(layout.flat, own)]
-                shares[pid, sharing] = 1.0
-                shares[sharing, pid] = 1.0
+            shares[rows, :] = sharing
+            shares[:, rows] = sharing.T
             child.__dict__["_share_matrix"] = shares
         return child
 

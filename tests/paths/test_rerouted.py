@@ -194,3 +194,22 @@ def test_share_matrix_matches_brute_force():
     dense = PathCollection([row] * 6 + [[(1, 0), (1, 1)]], topology=m)
     np.testing.assert_array_equal(dense._share_matrix, _brute_shares(dense))
     assert dense.per_path_congestion.tolist() == [6] * 6 + [1]
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_replaced_paths_sharing_links_patch_exactly(kind):
+    # One call replaces several rows whose new paths share links with
+    # one another: the batched patch must fill the replaced block too.
+    rng = np.random.default_rng(11)
+    coll = _BUILDERS[kind](11)
+    coll._share_matrix
+    walk = _walk(coll.topology, rng, 6)
+    changes = {0: walk, 3: walk, 5: walk[1:4], 7: walk[3:][::-1], 9: walk[:2]}
+    child = coll.rerouted(changes)
+    assert "_share_matrix" in child.__dict__
+    want = _fresh(coll, changes)
+    np.testing.assert_array_equal(child._share_matrix, want._share_matrix)
+    assert child._share_matrix.dtype == want._share_matrix.dtype
+    for trio in ([0, 3, 5], [0, 3, 9]):
+        assert child._share_matrix[np.ix_(trio, trio)].all()
+    _assert_same(child, want, rng)
