@@ -17,35 +17,40 @@ exactly under the model of Section 1.1:
   and to contend for links; occupancies strictly upstream of the cut keep
   their previous length; repeated truncations compose via ``min``.
 
-The engine processes head-arrival events in global time order and resolves
-each contended (link, wavelength, time) group through the coupler kernels,
-so the collision semantics live in exactly one place. Conflict-free
-arrivals take an inlined fast path.
+Each contended (link, wavelength, time) group is decided by the
+serve-first or priority rule of :mod:`repro.optics.coupler`.
 
 One round body serves every call. :func:`run_round_batch` runs a
 *pass*: one or more independent rounds (typically the same round of
 many trials that differ only in their seeds), whose head-arrival events
-are built with numpy and sorted once, trial-major, into canonical
-(time, link, wavelength) order. :meth:`RoutingEngine.run_round` is the
-one-call pass. Each engine then resolves its own slice of the pass by
-replaying only its clashes. Two events can only interact if they share
-a (link, wavelength) channel *and* are at most ``max_worm_length - 1``
-steps apart (an occupancy written at ``t`` expires by ``t + L - 1``),
-so a single sorted-adjacent-gap test marks every event that sits in
-such a pair as *clashed*. Every other event meets an idle or stale
-channel, so its worm advances unless it is already dead or the link is
-down; those events are settled in numpy, and each worm's makespan
-contribution follows from a closed form over its truncations. Under
-the priority rule every clashed event replays through the scalar loop.
-Under serve-first a numpy fixed point (:func:`_settle`) first works out
-which clashed events are live, which meet a tie or an occupant and
-which are lost to a dead link; only the contended groups and the
-install of each one's occupant replay, and the replay must reproduce
-every death the fixed point found. The clash test is conservative (it
+are built with numpy and sorted once, channel-major: by (trial, link,
+wavelength, time, position, launch row).
+:meth:`RoutingEngine.run_round` is the one-call pass. Two events can
+only interact if they share a (link, wavelength) channel *and* are at
+most ``max_worm_length - 1`` steps apart (an occupancy written at
+``t`` expires by ``t + L - 1``), so a single sorted-adjacent-gap test
+marks every event that sits in such a pair as *clashed*. Every other
+event meets an idle or stale channel, so its worm advances unless it is
+already dead or the link is down.
+
+Under serve-first a numpy fixed point (:func:`_settle`) decides every
+clashed event in that same order: which are live, which meet a tie or
+an occupant, which are lost to a dead link, and whom each eliminated
+worm lost to. Serve-first never cuts a worm, so outcomes, last steps,
+collisions and faulted links all follow from each worm's death position
+and blocker in array arithmetic; no scalar loop runs and no per-worm
+state is built unless a flight recorder asks for it. Under the priority
+rule every clashed event replays through the scalar loop
+(:meth:`RoutingEngine._resolve_scalar`, which applies the coupler
+kernels), and each worm's makespan contribution follows from a closed
+form over its truncations. Canonical (time, link, wavelength, position,
+launch row) order -- the order such a replay walks -- is computed only
+for the rows that need it: a priority round's replay, a recorder's
+stream, the events worms die at. The clash test is conservative (it
 over-approximates contention), so outcomes equal a replay of every
-event; the flit-level oracle (:mod:`repro.core.reference`) and the
-golden round corpus enforce it. Per-worm run state is built only for
-worms that the replay, a dead link or a flight recorder touches.
+event; the flit-level oracle (:mod:`repro.core.reference`), the golden
+round corpus and a differential test of the settle step against a
+scalar replay enforce it.
 
 A round's launches cross into the engine as
 :class:`~repro.worms.worm.Launches` columns (launch objects are turned
@@ -56,17 +61,19 @@ state gets its outcome and last step from array arithmetic, and the
 only when they are read.
 
 Within a pass no trial's events cluster with another's (the trial id is
-the most significant sort key and part of the clash channel), so each
-trial's outcomes, collision order, fault attribution and
-flight-recorder stream are bit-identical to running that trial alone. A
-one-call pass stacks nothing and sorts without the trial key.
+the most significant part of the channel key), so each trial's
+outcomes, collision order, fault attribution and flight-recorder stream
+are bit-identical to running that trial alone. A one-call pass stacks
+nothing and sorts without the trial key.
 
 The backend names (:data:`BACKENDS`) select nothing here: every name
 runs this one kernel, and the trial runner steps trials in lockstep
 passes under every name.
 
 Every sort goes through :func:`_lexorder`, which packs the integer key
-columns into as few int64 words as fit and sorts those.
+columns into as few int64 words as fit and sorts those; the pass's
+channel sort reads its time and channel columns back from the sorted
+word.
 """
 
 from __future__ import annotations
@@ -146,15 +153,22 @@ def get_default_backend() -> str:
     return _default_backend
 
 
-def _lexorder(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> np.ndarray:
+def _lexorder(
+    columns: Sequence[np.ndarray], bounds: Sequence[int], keep: int = 0
+):
     """Row order sorting integer ``columns``, the first most significant.
 
     ``columns[i]`` holds values in ``[0, bounds[i])``. The columns are
     packed, most significant first, into as few int64 words as hold 63
     bits each, with the row index in the lowest bits of the last word.
-    Every key is then unique, so one word sorts with a single (unstable,
-    fast) ``argsort`` and several go through ``np.lexsort`` on the words;
-    either way the result equals the stable ``np.lexsort(columns[::-1])``.
+    Every key is then unique, so one word sorts by value (``np.sort``,
+    much faster than an ``argsort``) and the row order is read back
+    from its low bits; several go through ``np.lexsort`` on the words.
+    Either way the result equals the stable ``np.lexsort(columns[::-1])``.
+
+    With ``keep``, returns ``(order, sorted)`` instead: ``sorted`` holds
+    the first ``keep`` columns in that order, read back from the sorted
+    word when there is one (cheaper than gathering them).
     """
     n = columns[0].shape[0]
     words: list[np.ndarray] = []
@@ -169,52 +183,58 @@ def _lexorder(columns: Sequence[np.ndarray], bounds: Sequence[int]) -> np.ndarra
             word <<= width
             word |= col
             used += width
-    if len(words) == 1:
-        return np.argsort(words[0])
-    return np.lexsort(words[::-1])
+    if len(words) > 1:
+        order = np.lexsort(words[::-1])
+        return (order, [col[order] for col in columns[:keep]]) if keep else order
+    # ``width`` is the row index's, packed lowest.
+    word = np.sort(words[0])
+    order = word & ((1 << width) - 1)
+    if not keep:
+        return order
+    kept = []
+    for bound in bounds[:keep]:
+        width = max(1, (int(bound) - 1).bit_length())
+        used -= width
+        kept.append((word >> used) & ((1 << width) - 1))
+    return order, kept
+
+
+def _clash_sorted(chan: np.ndarray, t: np.ndarray, gap) -> np.ndarray:
+    """The clash mask of events already sorted by (channel, time).
+
+    An event is clashed if it shares its channel with an event at most
+    ``gap`` steps away; ``gap`` is a scalar or, per adjacent pair, the
+    later event's. Sorted, adjacent rows are the only candidates.
+    """
+    clash = (chan[1:] == chan[:-1]) & (t[1:] - t[:-1] <= gap)
+    hit = np.zeros(chan.shape[0], dtype=bool)
+    hit[1:] = clash
+    hit[:-1] |= clash
+    return hit
 
 
 def _clashed(
-    chan: np.ndarray,
-    t: np.ndarray,
-    gap,
-    chan_bound: int,
-    t_bound: int,
-    order: np.ndarray | None = None,
+    chan: np.ndarray, t: np.ndarray, gap, chan_bound: int, t_bound: int
 ) -> np.ndarray:
     """Mask of events sharing a channel with an event at most ``gap`` steps away.
 
     ``chan`` and ``t`` are each event's channel and time, below
     ``chan_bound`` and ``t_bound``; ``gap`` is a scalar or one value per
-    event. ``order`` is the rows' (channel, time) sort when the caller
-    already has it. Sorted by (channel, time), adjacent rows are the
-    only candidates. Rows tied on (channel, time) sit together with a
-    zero gap, so all of them are clashed and their neighbours see the
-    same time whichever of them ends the tie: the mask does not depend
-    on how the sort breaks ties.
+    event. Rows tied on (channel, time) sit together with a zero gap,
+    so all of them are clashed and their neighbours see the same time
+    whichever of them ends the tie: the mask does not depend on how
+    the sort breaks ties.
     """
-    if order is None:
-        order = _lexorder((chan, t), (chan_bound, t_bound))
-    c2 = chan[order]
-    t2 = t[order]
+    order = _lexorder((chan, t), (chan_bound, t_bound))
     if isinstance(gap, np.ndarray):
         gap = gap[order[1:]]
-    clash = (c2[1:] == c2[:-1]) & (t2[1:] - t2[:-1] <= gap)
-    hit = np.zeros(order.shape[0], dtype=bool)
-    hit[1:] = clash
-    hit[:-1] |= clash
-    mask = np.empty_like(hit)
-    mask[order] = hit
+    mask = np.empty(order.shape[0], dtype=bool)
+    mask[order] = _clash_sorted(chan[order], t[order], gap)
     return mask
 
 
 #: The settle step's death position for a worm that survives the round.
 _ALIVE = np.iinfo(np.int64).max
-
-
-def _where(dead_at: int) -> str:
-    """A settle-step death position, for error messages."""
-    return "alive" if dead_at == _ALIVE else f"at link {dead_at}"
 
 
 def _settle(
@@ -224,18 +244,17 @@ def _settle(
     run: np.ndarray,
     dark: np.ndarray,
     lowest: np.ndarray,
-    uid: np.ndarray | None,
+    uid: np.ndarray,
     length: np.ndarray,
     cap: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Serve-first outcome of clashed events, as a Jacobi fixed point.
 
-    The event arrays hold clashed serve-first events in (channel, time)
-    order: ``run`` indexes the per-worm ``uid`` (None when no event is
-    under the ``LOWEST_ID_WINS`` tie rule), ``length`` and ``cap`` (the
-    position of each worm's first dead link outside the clashes,
-    ``_ALIVE`` if none); ``dark`` marks events on a dead link and
-    ``lowest`` those under ``LOWEST_ID_WINS``. Each
+    The event arrays hold clashed serve-first events in (channel, time,
+    position, launch row) order: ``run`` indexes the per-worm ``uid``,
+    ``length`` and ``cap`` (the position of each worm's first dead link
+    outside the clashes, ``_ALIVE`` if none); ``dark`` marks events on a
+    dead link and ``lowest`` those under ``LOWEST_ID_WINS``. Each
     iteration recomputes every event from the last one's state:
 
     * an event is *live* if its head gets there, ``pos <= dead_at``
@@ -256,13 +275,20 @@ def _settle(
     are final; the loop stops at the first iteration that changes
     neither the losses nor the installs, which is the unique
     fixed point, after at most one iteration per event plus one.
-    Returns the per-worm death positions and the events the scalar
-    replay must see: every live event of a contended group plus the
-    install of each occupied group's occupant.
+
+    Returns four arrays. Per worm: the death position, and the blocker
+    uid of a worm eliminated here (-1 for every other worm). The
+    blocker is the occupant on an occupied channel and the winner of a
+    ``LOWEST_ID_WINS`` tie; in an ``ALL_LOSE`` tie it is the group's
+    first live arrival, and the second one for that first arrival
+    itself. Per event, for the counters: the live events of contended
+    groups, and the events a scalar replay of the clashes would contend
+    over -- those plus the install of each occupied group's occupant.
     """
     n = t.shape[0]
     if not n:
-        return cap, np.zeros(0, dtype=bool)
+        empty = np.zeros(0, dtype=bool)
+        return cap, np.full(cap.shape[0], -1, dtype=np.int64), empty, empty
     step = np.empty(n, dtype=bool)
     step[0] = True
     np.not_equal(chan[1:], chan[:-1], out=step[1:])
@@ -280,6 +306,7 @@ def _settle(
     any_dark = bool(dark.any())
     any_lowest = any_tie and bool(lowest.any())
     ids = uid[run] if any_lowest else None
+    won = None
     reachable = ~dark
     rows = np.arange(n)
     # latest[i]: the last installing row before row i (-1 if none).
@@ -314,9 +341,28 @@ def _settle(
         np.minimum.at(dead_at, run[killed], pos[killed])
     else:
         raise ProtocolError(f"the settle step did not converge over {n} events")
+    # Each eliminated event is its worm's only loss, so it names the
+    # worm's one blocker; pick the row of the event it lost to.
+    eliminated = np.flatnonzero(contended & lost)
+    pick = occupant[eliminated]
+    tied = ~occupied[eliminated]
+    if tied.any():
+        rows_tied = eliminated[tied]
+        g = group[rows_tied]
+        live_rows = np.where(live, rows, n)
+        first = np.minimum.reduceat(live_rows, firsts)
+        live_rows[first[first < n]] = n
+        second = np.minimum.reduceat(live_rows, firsts)
+        alt = np.where(rows_tied == first[g], second[g], first[g])
+        if won is not None:
+            winner = np.maximum.reduceat(np.where(won, rows, -1), firsts)[g]
+            alt = np.where(lowest[rows_tied], winner, alt)
+        pick[tied] = alt
+    blocker = np.full(cap.shape[0], -1, dtype=np.int64)
+    blocker[run[eliminated]] = uid[run[pick]]
     replay = contended.copy()
     replay[occupant[contended & occupied]] = True
-    return dead_at, replay
+    return dead_at, blocker, contended, replay
 
 
 class _Record:
@@ -334,10 +380,10 @@ class _Record:
 class _Run:
     """Mutable per-worm state for one round.
 
-    Built only for a worm that the scalar replay, a dead link or a
-    flight recorder touches; every other worm is delivered whole, and
-    :meth:`RoutingEngine._finalise` writes its outcome straight from the
-    launch columns.
+    Built only for a priority-rule worm that the scalar replay or a dead
+    link touches, and for every worm of a recorded round (the flight
+    recorder reads its fields); every other worm's outcome is written
+    straight from the columns.
     """
 
     __slots__ = (
@@ -504,11 +550,12 @@ def _last_step(run: _Run, last: int) -> int:
 class _OrderedRecorder:
     """Buffers flight-recorder calls tagged with their global event index.
 
-    The engine emits the replayed events' calls from the scalar replay
-    and the other events' calls from a later pass; tagging each call
-    with the index of the event that produced it and flushing in sorted
-    order gives the recorder every event in the round's canonical
-    order. Recorder methods read ``run.cut_len`` at call time
+    Under the priority rule the engine emits the replayed events' calls
+    from the scalar replay and the other events' calls from a later
+    pass (a serve-first round emits every call from that pass); tagging
+    each call with the index of the event that produced it and flushing
+    in sorted order gives the recorder every event in the round's
+    canonical order. Recorder methods read ``run.cut_len`` at call time
     (the ``surviving`` field), and the replay mutates it, so each
     buffered call carries the value in force at its event and the flush
     restores it around the real emission.
@@ -841,12 +888,14 @@ class RoutingEngine:
     ) -> int:
         """Walk ``events`` in order, resolving each (t, link, wl) group.
 
-        This is the one place collision semantics are applied. The
-        events are the ones :func:`_partition` chose to replay, and
-        ``order`` holds their indices in the full round, so fault
-        attribution, truncation logs and recorder emission (through an
-        :class:`_OrderedRecorder`) keep global positions. Returns the
-        number of contended coupler groups.
+        The priority rule's clashes are resolved here, through the
+        coupler kernels; serve-first clashes are settled in numpy by
+        :func:`_settle`. The events are the ones :func:`_partition`
+        chose to replay, and ``order`` holds their indices in the
+        round's canonical order, so fault attribution, truncation logs
+        and recorder emission (through an :class:`_OrderedRecorder`)
+        keep global positions. Returns the number of contended coupler
+        groups.
         """
         contended = 0
         occupancy: dict[tuple[int, int], _Record] = {}
@@ -984,42 +1033,43 @@ class RoutingEngine:
                     recorder.advance(run, t, p, links[lid], wl)
         return contended
 
-    def _apply_partition(
-        self,
-        slot: "_Slot",
-        arrays: tuple[np.ndarray, ...],
-        replay: np.ndarray,
-        faults: np.ndarray,
-        settled: np.ndarray | None,
-    ) -> tuple[int, int]:
-        """Resolve one round, replaying only its ``replay`` events.
+    def _replay(self, slot: "_Slot") -> None:
+        """Resolve a priority-rule round from its partition masks.
 
-        :func:`_partition` chose the events (indices in ``arrays`` are
-        the round's own global positions): ``replay`` holds the events
-        :meth:`_resolve_scalar` must see, and ``faults`` the heads lost
-        to a dead link outside them. A fault stands only if the replay
-        left its worm alive. Runs are built for the worms these events
-        touch. ``settled``, when given, is the settle step's death
-        position of every worm (``_ALIVE`` for a survivor), and the
-        replay must agree with it. Returns ``(contended groups, events
-        not replayed)``.
+        ``slot.partition`` marks, over the round's own event rows, the
+        ``replay`` events :meth:`_resolve_scalar` must see and the
+        ``faults``: heads lost to a dead link outside them. Those rows
+        (every row under a recorder) are put in canonical order, whose
+        positions then order the replay, the faults and the recorder
+        stream. A fault stands only if the replay left its worm alive.
+        Runs are built for the worms these events touch.
         """
         call = slot.call
         runs = slot.runs
         recorder = call.recorder
-        t, lid, wl, pos, ri = arrays
+        replay, faults = slot.partition
+        slot.free_events = replay.shape[0] - int(np.count_nonzero(replay))
+        slot.contended = 0
+        if recorder is None:
+            (rows,) = np.nonzero(replay | faults)
+        else:
+            rows = np.arange(replay.shape[0])
+        rows = self._canonical(slot, rows)
+        arrays = tuple(col[rows] for col in slot.parts)
+        _, lid, _, pos, ri = arrays
+        replay = replay[rows]
         idx = np.flatnonzero(replay)
-        lost = np.flatnonzero(faults)
-        launched = slot.launched
+        lost = np.flatnonzero(faults[rows])
         fresh = sorted({*ri[idx].tolist(), *ri[lost].tolist()}.difference(runs))
         if fresh:
-            runs.update(zip(fresh, launched.runs(np.array(fresh, dtype=np.int64))))
+            runs.update(
+                zip(fresh, slot.launched.runs(np.array(fresh, dtype=np.int64)))
+            )
 
         emitter = _OrderedRecorder() if recorder is not None else None
-        contended = 0
         if idx.shape[0]:
             events = list(zip(*(col[idx].tolist() for col in arrays)))
-            contended = self._resolve_scalar(
+            slot.contended = self._resolve_scalar(
                 events, runs, slot.dead_lids, call.collect_collisions, emitter,
                 slot.collisions, slot.faulted_at, order=idx.tolist(),
             )
@@ -1035,40 +1085,43 @@ class RoutingEngine:
                 if dlid not in faulted_at or g < faulted_at[dlid]:
                     faulted_at[dlid] = g
 
-        if settled is not None:
-            replayed = np.full(len(launched), _ALIVE, dtype=np.int64)
-            for k, run in runs.items():
-                if run.dead_at is not None:
-                    replayed[k] = run.dead_at
-            bad = np.flatnonzero(replayed != settled)
-            if bad.shape[0]:
-                k = int(bad[0])
-                raise ProtocolError(
-                    f"worm {launched.launches.worm[k]}: the replay ends it "
-                    f"{_where(replayed[k])} but the settle step "
-                    f"{_where(settled[k])}"
-                )
-
         if emitter is not None:
-            links = self._links
-            quiet = np.flatnonzero(~replay)
-            for g, et, elid, ewl, ep, ek in zip(
-                quiet.tolist(), *(col[quiet].tolist() for col in arrays)
-            ):
-                run = runs[ek]
-                dead = run.dead_at
-                if dead is not None and ep > dead:
-                    continue
-                # Cuts are logged in event order, each shorter than the last.
-                cut_len = run.length
-                for gc, _, new_len in run.cuts:
-                    if gc < g:
-                        cut_len = new_len
-                # A head outside the replay can only stop at a dead link.
-                name = "advance" if dead is None or ep < dead else "fault"
-                emitter.add(g, name, run, cut_len, et, ep, links[elid], ewl)
+            self._emit(emitter, runs, arrays, np.flatnonzero(~replay))
             emitter.flush(recorder)
-        return contended, t.shape[0] - idx.shape[0]
+
+    def _emit(
+        self,
+        emitter: _OrderedRecorder,
+        runs: dict[int, _Run],
+        arrays: tuple[np.ndarray, ...],
+        rows: np.ndarray,
+    ) -> None:
+        """Buffer the recorder calls of the settled events ``rows``.
+
+        ``arrays`` are canonical event columns and ``runs`` hold every
+        worm's final state: each event a worm's head reaches advances
+        it, except the one it dies at, which faults or eliminates it.
+        """
+        links = self._links
+        for g, et, elid, ewl, ep, ek in zip(
+            rows.tolist(), *(col[rows].tolist() for col in arrays)
+        ):
+            run = runs[ek]
+            dead = run.dead_at
+            if dead is not None and ep > dead:
+                continue
+            # Cuts are logged in event order, each shorter than the last.
+            cut_len = run.length
+            for gc, _, new_len in run.cuts:
+                if gc < g:
+                    cut_len = new_len
+            args = (et, ep, links[elid], ewl)
+            if dead is None or ep < dead:
+                emitter.add(g, "advance", run, cut_len, *args)
+            elif run.faulted:
+                emitter.add(g, "fault", run, cut_len, *args)
+            else:
+                emitter.add(g, "eliminate", run, cut_len, *args, run.blockers[-1])
 
     # -- helpers ---------------------------------------------------------------
 
@@ -1170,9 +1223,78 @@ class RoutingEngine:
                 return other
         raise ProtocolError(f"worm {uid} blocked with no other participant")
 
-    @staticmethod
-    def _finalise(slot: "_Slot") -> tuple[OutcomeColumns, int | None]:
-        """Per-worm outcome columns (in launch order) and the makespan.
+    def _canonical(
+        self, slot: "_Slot", rows: np.ndarray, rank: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``slot``'s event ``rows`` in canonical order.
+
+        Canonical order is (time, link, wavelength, position, launch
+        row): the order a replay of the round walks its events in.
+        ``rank`` (0 or 1 per row) optionally orders each (time, link,
+        wavelength) group before the position does. Only the rows that
+        need it are sorted: a priority round's replay and a recorded
+        round's stream.
+        """
+        if not rows.shape[0]:
+            return rows
+        t, lid, wl, pos, ri = (col[rows] for col in slot.parts)
+        keys = [t, lid, wl, pos, ri]
+        bounds = [
+            int(t.max()) + 1, self._gids.shape[0], int(wl.max()) + 1,
+            self._max_links, len(slot.launched),
+        ]
+        if rank is not None:
+            keys.insert(3, rank)
+            bounds.insert(3, 2)
+        return rows[_lexorder(keys, bounds)]
+
+    def _record_settled(self, slot: "_Slot") -> None:
+        """Give a recorded serve-first round's events to its recorder.
+
+        Every worm has a run (see :meth:`_Slot.begin`); the settle
+        step's columns set each dead worm's death. The stream walks
+        every event a head reaches in canonical order, except that in
+        each (time, link, wavelength) group the losses come before the
+        one head that goes on, as the coupler decides them.
+        """
+        runs = slot.runs
+        dead_at, faulted, blocker = slot.settled
+        for k in np.flatnonzero(dead_at != _ALIVE).tolist():
+            run = runs[k]
+            run.dead_at = int(dead_at[k])
+            run.faulted = bool(faulted[k])
+            if not run.faulted:
+                run.blockers.append(int(blocker[k]))
+        pos, ri = slot.parts[3], slot.parts[4]
+        last = dead_at[ri]
+        (rows,) = np.nonzero(pos <= last)
+        rows = self._canonical(slot, rows, rank=pos[rows] < last[rows])
+        emitter = _OrderedRecorder()
+        self._emit(
+            emitter, runs, tuple(col[rows] for col in slot.parts),
+            np.arange(rows.shape[0]),
+        )
+        emitter.flush(slot.call.recorder)
+
+    def _result(
+        self,
+        outcomes: OutcomeColumns,
+        end: np.ndarray,
+        collisions: Sequence[CollisionEvent],
+        faulted_lids: Sequence[int],
+    ) -> RoundResult:
+        """A round's result from its columns and its makespan candidates."""
+        links, gids = self._universe.links, self._gids
+        makespan = int(end.max())
+        return RoundResult(
+            outcomes=outcomes,
+            collisions=tuple(collisions),
+            makespan=makespan if makespan >= 0 else None,
+            faulted_links=tuple(links[gids[lid]] for lid in faulted_lids),
+        )
+
+    def _finalise(self, slot: "_Slot") -> RoundResult:
+        """A priority-rule round's result, from its runs.
 
         Every worm starts out delivered whole, its outcome and last step
         computed for all rows at once; only worms with run state are
@@ -1210,9 +1332,80 @@ class RoutingEngine:
             k, *values = (np.array(col, dtype=np.int64) for col in zip(*rows))
             for col, value in zip((code, flits, completion, failed_at, end), values):
                 col[k] = value
-        makespan = int(end.max())
         outcomes = OutcomeColumns(cols.worm, code, flits, completion, failed_at, blockers)
-        return outcomes, (makespan if makespan >= 0 else None)
+        faulted = sorted(slot.faulted_at.items(), key=lambda kv: kv[1])
+        return self._result(
+            outcomes, end, slot.collisions, [lid for lid, _ in faulted]
+        )
+
+    def _finalise_settled(self, slot: "_Slot") -> RoundResult:
+        """A serve-first round's result, from the settle step's columns.
+
+        ``slot.settled`` holds each worm's death position, fault flag
+        and blocker. Serve-first never cuts a worm, so a dead worm's
+        last flit moved ``length - 1`` steps after its head left the
+        link before its death (:func:`_last_step` without cuts), and
+        every other worm is delivered whole. The collisions and the
+        faulted links come from the events the worms died at, in
+        canonical order.
+        """
+        launched = slot.launched
+        cols = launched.launches
+        length = launched.length
+        completion = cols.delay + launched.n_links + length - 2
+        end = completion
+        code = np.zeros(len(launched), dtype=np.int8)
+        flits = length.copy()
+        failed_at = np.full(len(launched), -1, dtype=np.int64)
+        blockers: dict[int, tuple[int, ...]] = {}
+        collisions: list[CollisionEvent] = []
+        faulted_lids: dict[int, None] = {}
+        dead_at, faulted, blocker = slot.settled
+        (dead,) = np.nonzero(dead_at != _ALIVE)
+        if dead.shape[0]:
+            at = dead_at[dead]
+            dark = faulted[dead]
+            codes = OutcomeColumns.CODES
+            code[dead] = np.where(
+                dark, codes[FailureKind.FAULTED], codes[FailureKind.ELIMINATED]
+            )
+            flits[dead] = 0
+            failed_at[dead] = at
+            end = completion.copy()
+            # A worm lost at its first link never moved a flit.
+            end[dead] = np.where(
+                at > 0, cols.delay[dead] + at + length[dead] - 2, -1
+            )
+            completion[dead] = -1
+            elim = dead[~dark]
+            blockers = dict(zip(elim.tolist(), zip(blocker[elim].tolist())))
+            # Each dead worm's last event: a worm's rows start at the
+            # running sum of the link counts before it.
+            n_links = launched.n_links
+            event = (np.cumsum(n_links) - n_links)[dead] + at
+            # Few worms die per round: their events sort as tuples, in
+            # canonical (t, lid, wl, pos, ri) order.
+            if slot.call.collect_collisions and elim.shape[0]:
+                rows = event[~dark]
+                links = self._links
+                uid, blocked_by = cols.worm.tolist(), blocker.tolist()
+                collisions = [
+                    CollisionEvent(
+                        time=t, link=links[lid], wavelength=wl,
+                        blocked=uid[k], blocker=blocked_by[k], link_pos=p,
+                        kind=CollisionKind.ELIMINATED,
+                    )
+                    for t, lid, wl, p, k in sorted(
+                        zip(*(col[rows].tolist() for col in slot.parts))
+                    )
+                ]
+            if dark.any():
+                # Each dead link is named at its first fault.
+                rows = event[dark]
+                t, lid = slot.parts[0][rows].tolist(), slot.parts[1][rows].tolist()
+                faulted_lids = dict.fromkeys(lid for _, lid in sorted(zip(t, lid)))
+        outcomes = OutcomeColumns(cols.worm, code, flits, completion, failed_at, blockers)
+        return self._result(outcomes, end, collisions, faulted_lids)
 
 
 def run_round(
@@ -1248,12 +1441,17 @@ class RoundCall:
 
 
 class _Slot:
-    """One launched call's state through a :func:`run_round_batch` pass."""
+    """One launched call's state through a :func:`run_round_batch` pass.
+
+    :func:`_partition` leaves a serve-first call ``settled`` (its
+    worms' death positions, fault flags and blockers) and a
+    priority-rule call a ``partition`` (its replay and fault masks).
+    """
 
     __slots__ = (
         "index", "call", "engine", "metrics", "launched", "runs", "parts",
         "dead_lids", "seconds", "contended", "free_events", "collisions",
-        "faulted_at",
+        "faulted_at", "settled", "partition",
     )
 
     def __init__(self, index: int, call: RoundCall, metrics: MetricsRegistry) -> None:
@@ -1263,15 +1461,16 @@ class _Slot:
         self.metrics = metrics
         self.collisions: list[CollisionEvent] = []
         self.faulted_at: dict[int, int] = {}
+        self.settled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def begin(self) -> None:
         """Check the launches and lay out the run state and event columns.
 
         The launches become columns here, once (see
         :meth:`RoutingEngine._launched`); everything after reads
-        columns. Runs start as an empty dict, filled as the replay and
-        dead links touch worms, unless a flight recorder needs every run
-        from the launch on.
+        columns. Runs start as an empty dict, filled as the priority
+        replay and dead links touch worms, unless a flight recorder
+        needs every run from the launch on.
         """
         eng = self.engine
         call = self.call
@@ -1285,26 +1484,40 @@ class _Slot:
         self.parts = eng._event_parts(launched, launched.launches)
         self.dead_lids = eng._dead_lids(call.dead_links)
 
+    def resolve(self) -> None:
+        """This call's own resolve work, after the pass-wide partition."""
+        if self.settled is None:
+            self.engine._replay(self)
+        elif self.call.recorder is not None:
+            self.engine._record_settled(self)
+
+    def finalise(self) -> RoundResult:
+        """This call's round result."""
+        if self.settled is None:
+            return self.engine._finalise(self)
+        return self.engine._finalise_settled(self)
+
 
 def run_round_batch(calls: Sequence[RoundCall]) -> list[RoundResult]:
     """Simulate one round for each of many independent calls in one pass.
 
     The engine's only round body; :meth:`RoutingEngine.run_round` is the
     one-call pass. Every call's head-arrival events are stacked into
-    single ``(trial, link, wavelength)``-keyed arrays, so the canonical
-    sort, the channel sort and the adjacent-gap clash test amortise
-    across the whole pass. Each call's slice then replays only its
-    clashes (see the module docstring).
+    single ``(trial, link, wavelength)``-keyed arrays, so the channel
+    sort, the adjacent-gap clash test and the serve-first settle step
+    amortise across the whole pass. Each priority-rule call's slice
+    then replays only its clashes (see the module docstring).
 
-    Bit-identity argument: both sorts use the trial id as the
-    most-significant key, so restricting the canonical order to one
-    trial's events reproduces that trial's own sort (the per-trial key
-    tuples are unique); the clash test keys channels by trial and uses
-    each trial's own ``max_worm_length - 1`` gap, so the per-trial clash
+    Bit-identity argument: the sort uses the trial id as the
+    most-significant key, so restricting it to one trial's events
+    reproduces that trial's own order (the per-trial key tuples are
+    unique); the clash test keys channels by trial and uses each
+    trial's own ``max_worm_length - 1`` gap, so the per-trial clash
     masks match a one-call pass exactly. The settle step relates an
     event only to events of its own channel and its own worm, both
     keyed by trial, so its per-trial results do too -- and hence
-    outcomes, collision order, fault attribution, and recorder streams.
+    outcomes, collision order, fault attribution, and recorder streams,
+    whose canonical order is taken per call.
 
     Every pass opens one ``engine.round`` span (on the first call's
     profiler); one that launches anything gives it one
@@ -1312,9 +1525,9 @@ def run_round_batch(calls: Sequence[RoundCall]) -> list[RoundResult]:
     child each. Timings are
     measured, never apportioned: each call's ``engine_stage_seconds``
     get the work done for that call alone (its event columns, its
-    replay, its finalise). With several launched calls, the stacking
-    and canonical sort (build_events) and the clash test (resolve) are
-    shared, and are observed once per pass as
+    replay or recorder stream, its finalise). With several launched
+    calls, the stacking (build_events) and the sort, clash test and
+    settle step (resolve) are shared, and are observed once per pass as
     ``engine_batch_stage_seconds`` in the process-default registry; in a
     one-call pass they are that call's own stage time.
     """
@@ -1362,23 +1575,20 @@ def _run_round_batch(
             slot.begin()
             slot.seconds = [clock() - start, 0.0, 0.0]
         start = clock()
-        columns, rows, trial = _sorted_events(live)
+        columns, rows, trial = _stacked_events(live)
         shared = [clock() - start, 0.0]
 
     with prof.span("engine.resolve"):
         start = clock()
-        replay, faults, settled = _partition(live, columns, rows, trial)
+        _partition(live, columns, rows, trial)
         shared[1] = clock() - start
-        for slot, lo, hi, settle in zip(live, rows, rows[1:], settled):
+        for slot in live:
             start = clock()
-            slot.contended, slot.free_events = slot.engine._apply_partition(
-                slot, tuple(col[lo:hi] for col in columns),
-                replay[lo:hi], faults[lo:hi], settle,
-            )
+            slot.resolve()
             slot.seconds[1] = clock() - start
 
     if len(live) == 1:
-        # A one-call pass shares nothing: its sort and clash test are
+        # A one-call pass shares nothing: its stacking and partition are
         # its own build_events and resolve work.
         live[0].seconds[0] += shared[0]
         live[0].seconds[1] += shared[1]
@@ -1389,20 +1599,10 @@ def _run_round_batch(
     with prof.span("engine.finalise"):
         for slot, lo, hi in zip(live, rows, rows[1:]):
             start = clock()
-            eng = slot.engine
-            outcomes, makespan = eng._finalise(slot)
-            links, gids = eng._universe.links, eng._gids
-            faulted_links = tuple(
-                links[gids[lid]]
-                for lid, _ in sorted(slot.faulted_at.items(), key=lambda kv: kv[1])
-            )
-            result = results[slot.index] = RoundResult(
-                outcomes=outcomes, collisions=tuple(slot.collisions),
-                makespan=makespan, faulted_links=faulted_links,
-            )
+            result = results[slot.index] = slot.finalise()
             slot.seconds[2] = clock() - start
             if slot.metrics.enabled:
-                eng._record_metrics(
+                slot.engine._record_metrics(
                     slot.metrics, result, n_events=hi - lo,
                     contended=slot.contended, free_events=slot.free_events,
                     seconds=slot.seconds,
@@ -1410,40 +1610,24 @@ def _run_round_batch(
     return results  # type: ignore[return-value]
 
 
-def _sorted_events(
+def _stacked_events(
     live: list[_Slot],
 ) -> tuple[list[np.ndarray], list[int], np.ndarray | None]:
-    """The pass's event columns ``(t, lid, wl, pos, ri)``, sorted trial-major.
+    """The pass's event columns ``(t, lid, wl, pos, ri)``, slot after slot.
 
-    Returns the sorted columns, the row bounds of each slot's slice
-    (slot ``i`` owns rows ``rows[i]:rows[i + 1]``), and the trial id of
-    every row. A one-call pass sorts its own columns without a trial
-    key, and its trial column is None. Each slice is in that slot's
-    canonical order: its (t, lid, wl, pos, ri) keys are unique.
+    Returns the columns, the row bounds of each slot's slice (slot
+    ``i`` owns rows ``rows[i]:rows[i + 1]``), and the trial id of every
+    row. A one-call pass stacks nothing, and its trial column is None.
+    Within a slice, rows run worm after worm in launch order, each
+    worm's in path order.
     """
     counts = [slot.parts[0].shape[0] for slot in live]
-    if len(live) == 1:
-        columns, trial = list(live[0].parts), None
-    else:
-        columns = [
-            np.concatenate([slot.parts[c] for slot in live]) for c in range(5)
-        ]
-        trial = np.repeat(np.arange(len(live), dtype=np.int64), counts)
-    t, _, wl = columns[:3]
-    keys = columns
-    engines = [slot.engine for slot in live]
-    bounds = [
-        int(t.max()) + 1, max(eng._gids.shape[0] for eng in engines),
-        int(wl.max()) + 1, max(eng._max_links for eng in engines),
-        max(len(slot.launched) for slot in live),
-    ]
-    if trial is not None:
-        # Trials keep their input blocks, so the sorted trial column is
-        # the unsorted one.
-        keys, bounds = [trial, *columns], [len(live), *bounds]
-    order = _lexorder(keys, bounds)
     rows = list(accumulate(counts, initial=0))
-    return [col[order] for col in columns], rows, trial
+    if len(live) == 1:
+        return list(live[0].parts), rows, None
+    columns = [np.concatenate([slot.parts[c] for slot in live]) for c in range(5)]
+    trial = np.repeat(np.arange(len(live), dtype=np.int64), counts)
+    return columns, rows, trial
 
 
 def _partition(
@@ -1451,81 +1635,102 @@ def _partition(
     columns: list[np.ndarray],
     rows: list[int],
     trial: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray | None]]:
-    """Choose the events the engine replays, pass-wide.
+) -> None:
+    """Settle the pass's serve-first clashes; mark its priority replays.
 
-    Runs :func:`_clashed` over the pass's (trial, link, wavelength)
-    channels; each trial keeps its own ``max_worm_length - 1`` gap, and
-    the global wavelength radix keeps the composite channel key
-    injective. Returns per-event ``replay`` and ``faults`` masks (see
-    :meth:`RoutingEngine._apply_partition`) and, per slot, the settle
-    step's per-worm death positions (None where it does not run).
+    One sort puts the events in (trial, link, wavelength, time,
+    position, launch row) order: channel-major, with each (channel,
+    time) group in the (position, launch row) order of a canonical
+    sort. The adjacent-gap clash test and :func:`_settle` read that
+    order directly. Each trial keeps its own ``max_worm_length - 1``
+    gap, and the global wavelength radix keeps the composite channel
+    key injective.
 
     A worm's first dead link among its unclashed events caps it: its
-    events past the cap cannot happen. Under the priority rule the
-    replay is every clashed event before its worm's cap, and a worm the
-    replay leaves alive faults at its cap. Serve-first slots go through
-    :func:`_settle` over the same channel sort, once for the pass; their
-    replay shrinks to the contended groups and their occupants'
-    installs, and their faults to every live event on a dead link.
+    events past the cap cannot happen. A serve-first slot gets
+    ``settled`` from :func:`_settle` over its clashed events, and its
+    counters from the settle step's masks. A priority-rule slot gets
+    ``partition``: its ``replay`` mask (every clashed event before its
+    worm's cap) and ``faults`` mask (the unclashed dead-link event at
+    the cap) over its own rows; a worm the replay leaves alive faults
+    at its cap.
     """
     t, lid, wl, pos, ri = columns
+    n_slots = len(live)
     radix = int(wl.max()) + 1
     chans = max(slot.engine._gids.shape[0] for slot in live) * radix
     lengths = [slot.launched.length for slot in live]
-    gaps = np.array([int(length.max()) - 1 for length in lengths])
-    chan, gap = lid * radix + wl, gaps[0]
+    bases = list(accumulate((length.shape[0] for length in lengths), initial=0))
+    chan, run = lid * radix + wl, ri
     if trial is not None:
-        chan, gap = chan + trial * chans, gaps[trial]
-    bounds = (len(live) * chans, int(t.max()) + 1)
-    order = _lexorder((chan, t), bounds)
-    clashed = _clashed(chan, t, gap, *bounds, order=order)
+        chan += trial * chans
+        run = ri + np.asarray(bases[:-1])[trial]
+    order, (chan_s, t_s) = _lexorder((chan, t, pos), (
+        n_slots * chans, int(t.max()) + 1,
+        max(slot.engine._max_links for slot in live),
+    ), keep=2)
+    gaps = [int(length.max()) - 1 for length in lengths]
+    gap = gaps[0] if len(set(gaps)) == 1 else np.array(gaps)[chan_s[1:] // chans]
+    clashed = _clash_sorted(chan_s, t_s, gap)
 
-    bases = list(accumulate((len(slot.launched) for slot in live), initial=0))
-    run = ri if trial is None else ri + np.asarray(bases[:-1])[trial]
-    dead_at = np.full(bases[-1], _ALIVE, dtype=np.int64)
-    dark = np.zeros(t.shape[0], dtype=bool)
-    replay, faults = clashed.copy(), dark
+    cap = np.full(bases[-1], _ALIVE, dtype=np.int64)
+    dark = dark_s = None
     if any(slot.dead_lids for slot in live):
+        dark = np.zeros(t.shape[0], dtype=bool)
         for slot, lo, hi in zip(live, rows, rows[1:]):
             if slot.dead_lids:
                 down = np.zeros(slot.engine._gids.shape[0], dtype=bool)
                 down[list(slot.dead_lids)] = True
                 dark[lo:hi] = down[lid[lo:hi]]
-        quiet_dark = dark & ~clashed
-        np.minimum.at(dead_at, run[quiet_dark], pos[quiet_dark])
-        cap = dead_at[run]
-        replay &= pos < cap
-        faults = quiet_dark & (pos == cap)
+        dark_s = dark[order]
+        quiet = order[dark_s & ~clashed]
+        np.minimum.at(cap, run[quiet], pos[quiet])
 
-    settles = [slot.engine.rule is CollisionRule.SERVE_FIRST for slot in live]
-    settled: list[np.ndarray | None] = [None] * len(live)
-    if not any(settles):
-        return replay, faults, settled
-    if all(settles):
-        on = np.ones(t.shape[0], dtype=bool)
-    else:
-        on = np.repeat(settles, np.diff(rows))
-    sel = order[(clashed & on)[order]]
-    if not sel.shape[0]:
-        # No clashes to settle: the replay and the faults stand as they are.
-        return replay, faults, settled
-    lowest = np.array(
-        [slot.engine.tie_rule is TieRule.LOWEST_ID_WINS for slot in live]
+    settles = np.array(
+        [slot.engine.rule is CollisionRule.SERVE_FIRST for slot in live]
     )
-    lowest = np.full(sel.shape[0], lowest[0]) if trial is None else lowest[trial[sel]]
-    uid = np.concatenate(
-        [slot.launched.launches.worm for slot in live]
-    ) if lowest.any() else None
-    length = np.concatenate(lengths)
-    dead_at, chosen = _settle(
-        chan[sel], t[sel], pos[sel], run[sel], dark[sel],
-        lowest, uid, length, dead_at,
-    )
-    replay[on] = False
-    replay[sel[chosen]] = True
-    faults = np.where(on, dark & (pos == dead_at[run]), faults)
-    for i, (lo, hi) in enumerate(zip(bases, bases[1:])):
+    if settles.any():
+        if settles.all():
+            (sel,) = np.nonzero(clashed)
+        else:
+            (sel,) = np.nonzero(clashed & settles[chan_s // chans])
+        at = order[sel]
+        chan_sel, t_sel = chan_s[sel], t_s[sel]
+        slot_of = chan_sel // chans
+        lowest = np.array(
+            [slot.engine.tie_rule is TieRule.LOWEST_ID_WINS for slot in live]
+        )[slot_of]
+        dead_at, blocker, contended, replay = _settle(
+            chan_sel, t_sel, pos[at], run[at],
+            dark_s[sel] if dark_s is not None else np.zeros(sel.shape[0], dtype=bool),
+            lowest, np.concatenate([slot.launched.launches.worm for slot in live]),
+            np.concatenate(lengths), cap,
+        )
+        faulted = np.zeros(bases[-1], dtype=bool)
+        if dark is not None:
+            faulted[run[dark & (pos == dead_at[run])]] = True
+        # A contended group's events are adjacent: count their starts.
+        (hit,) = np.nonzero(contended)
+        head = np.ones(hit.shape[0], dtype=bool)
+        head[1:] = (chan_sel[hit[1:]] != chan_sel[hit[:-1]]) | (
+            t_sel[hit[1:]] != t_sel[hit[:-1]]
+        )
+        groups = np.bincount(slot_of[hit[head]], minlength=n_slots)
+        replayed = np.bincount(slot_of[replay], minlength=n_slots)
+    if not settles.all():
+        clashed_u = np.empty_like(clashed)
+        clashed_u[order] = clashed
+        replay_u, faults_u = clashed_u, np.zeros_like(clashed)
+        if dark is not None:
+            at_cap = cap[run]
+            replay_u = clashed_u & (pos < at_cap)
+            faults_u = dark & ~clashed_u & (pos == at_cap)
+
+    for i, (slot, lo, hi) in enumerate(zip(live, rows, rows[1:])):
         if settles[i]:
-            settled[i] = dead_at[lo:hi]
-    return replay, faults, settled
+            w = slice(bases[i], bases[i + 1])
+            slot.settled = (dead_at[w], faulted[w], blocker[w])
+            slot.contended = int(groups[i])
+            slot.free_events = hi - lo - int(replayed[i])
+        else:
+            slot.partition = (replay_u[lo:hi], faults_u[lo:hi])

@@ -8,15 +8,17 @@ from launch-shaped objects that bypassed ``Launch``'s own checks), the
 stale-occupancy eviction in the scalar replay, fixed cases of the
 clash-only replay (truncation, dead links and recorder streams around
 one clashed event), and fixed cases of the serve-first settle step
-(which clashed events still replay). The engine is property-tested
-against the flit-level oracle in
-``tests/property/test_differential_backend.py``, and its full output is
-pinned by ``tests/core/test_golden_rounds.py``.
+(which clashed events it finds contended; a serve-first pass never
+replays and builds no run state without a recorder). The engine is
+property-tested against the flit-level oracle in
+``tests/property/test_differential_backend.py`` and, under serve-first,
+against a scalar replay in ``tests/property/test_differential_settle.py``;
+its full output is pinned by ``tests/core/test_golden_rounds.py``.
 """
 
-import numpy as np
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.engine import (
     BACKENDS,
     RoundCall,
@@ -32,11 +34,14 @@ from repro.core.protocol import ProtocolConfig
 from repro.core.records import RoundResult
 from repro.core.reference import reference_run_round
 from repro.errors import ProtocolError
+from repro.experiments.workloads import mesh_random_function
 from repro.observability.analysis import verify_replay
 from repro.observability.flightrec import FlightRecorder
 from repro.observability.metrics import MetricsRegistry
 from repro.optics.coupler import CollisionRule, TieRule
+from repro.runners import route_collection_trials
 from repro.worms.worm import FailureKind, Launch, Worm
+from tests.property.test_differential_settle import scalar_round
 
 
 def _chain_worms(n, path=(0, 1, 2), length=2):
@@ -181,7 +186,8 @@ class TestOccupancyEviction:
 
     Only replayed events reach the scalar loop, so each case builds a
     clash cluster in which the replay meets a record whose tail already
-    cleared.
+    cleared. A serve-first round replays nothing, so its case runs the
+    scalar replay of its clashes through ``scalar_round``.
     """
 
     def _spy_install(self, engine, captured):
@@ -195,13 +201,15 @@ class TestOccupancyEviction:
 
     def test_stale_records_evicted(self):
         # Serve-first: worm 0 holds link (0, 1) over [0, 3] and
-        # eliminates worm 1 there at t=2, so the replay installs worm 0.
-        # Worms 2 and 3 tie on (0, 1) at t=5, within the clash gap but
-        # after worm 0's tail cleared: the replay finds worm 0's record
-        # stale, evicts it, and the all-lose pair installs nothing. The
-        # rest of the round is settled in numpy, so nothing else
-        # reaches the occupancy dict and it ends empty; without the
-        # eviction it would still hold worm 0's dead record.
+        # eliminates worm 1 there at t=2. Worms 2 and 3 tie on (0, 1)
+        # at t=5, within the clash gap but after worm 0's tail cleared:
+        # the settle step finds only those three events contended. The
+        # scalar replay of the clashes installs worm 0, finds its
+        # record stale at t=5, evicts it, and the all-lose pair installs
+        # nothing, so the dict ends with no record on (0, 1); without
+        # the eviction it would still hold worm 0's dead record. It
+        # keeps worm 0's record on (1, 2), which worm 1's clashed event
+        # there (after its death) never reaches.
         worms = _chain_worms(4, length=4)
         engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
         captured = {}
@@ -212,15 +220,18 @@ class TestOccupancyEviction:
             Launch(worm=2, delay=5, wavelength=0),
             Launch(worm=3, delay=5, wavelength=0),
         ]
-        assert _replayed_positions(
-            worms, launches, CollisionRule.SERVE_FIRST
-        ) == {0: [0], 1: [0], 2: [0], 3: [0]}
+        assert _contended_positions(worms, launches) == {
+            1: [0], 2: [0], 3: [0],
+        }
         result = engine.run_round(launches)
         out = result.outcomes
         assert out[0].delivered
         assert out[1].blockers == (0,)
         assert out[2].blockers == (3,) and out[3].blockers == (2,)
-        assert captured["occupancy"] == {}
+        assert "occupancy" not in captured
+        assert scalar_round(RoundCall(engine, launches)) == result
+        held = [engine._links[lid] for lid, _ in captured["occupancy"]]
+        assert held == [(1, 2)]
 
     def test_dict_bounded_by_live_keys_not_arrivals(self):
         # Priority rule, so every clashed event replays. A long worm on
@@ -378,7 +389,7 @@ def _clashed_positions(engine, launches, uid):
 
 def _replayed_positions(worms, launches, rule, tie_rule=TieRule.ALL_LOSE,
                         dead_links=()):
-    """Each worm's positions that the engine replays.
+    """Each worm's positions that the engine replays (priority rule).
 
     Spies on the engine's scalar replay; worms it never sees are absent.
     """
@@ -396,13 +407,41 @@ def _replayed_positions(worms, launches, rule, tie_rule=TieRule.ALL_LOSE,
     return {uid: sorted(positions) for uid, positions in seen.items()}
 
 
+def _contended_positions(worms, launches, tie_rule=TieRule.ALL_LOSE,
+                         dead_links=()):
+    """Each worm's positions that the serve-first settle step finds contended.
+
+    A contended event is a live head in a tie or on an occupied channel;
+    spies on :func:`_settle`, and worms with no contended event are
+    absent.
+    """
+    settle = engine_module._settle
+    seen = {}
+
+    def spy(chan, t, pos, run, *args):
+        dead_at, blocker, contended, replay = settle(chan, t, pos, run, *args)
+        for p, k in zip(pos[contended].tolist(), run[contended].tolist()):
+            seen.setdefault(launches[k].worm, []).append(p)
+        return dead_at, blocker, contended, replay
+
+    engine_module._settle = spy
+    try:
+        RoutingEngine(worms, CollisionRule.SERVE_FIRST, tie_rule).run_round(
+            launches, dead_links=dead_links or None
+        )
+    finally:
+        engine_module._settle = settle
+    return {uid: sorted(positions) for uid, positions in seen.items()}
+
+
 class TestClashReplay:
     """The partition replays only clashed events, never a whole worm.
 
     In the first cases worm 0 runs along ``_LINE`` and meets another
     worm on exactly one link, so it has unclashed events both before and
     after its one clashed event. The serve-first cases after them
-    replay fewer events still. The engine with and without a recorder,
+    replay nothing: the settle step decides every clashed event. The
+    engine with and without a recorder,
     two copies stacked in one pass and the flit-level oracle must agree
     on the RoundResult, the recorded runs on the flight-recorder stream,
     and the stream must pass the replay verifier.
@@ -524,11 +563,11 @@ class TestClashReplay:
 
     # -- the serve-first settle step -----------------------------------------
     #
-    # Only the contended (link, wavelength, time) groups and the install
-    # of each one's occupant reach the scalar replay; every other clashed
-    # event is settled by the numpy fixed point. Each case also pins the
-    # exact replayed positions. Worm 0 runs along ``_LINE`` with delay 0,
-    # so it enters link ``(i, i + 1)`` at ``t = i``.
+    # The numpy fixed point decides every clashed event; only the live
+    # heads of a tie or on an occupied channel are contended. Each case
+    # also pins the exact contended positions. Worm 0 runs along
+    # ``_LINE`` with delay 0, so it enters link ``(i, i + 1)`` at
+    # ``t = i``.
 
     def test_cascade_frees_a_later_arrival(self):
         # Worm 1 holds (2, 3) over [1, 4], so worm 0 dies there at t=2.
@@ -550,9 +589,8 @@ class TestClashReplay:
         )
         _assert_identical(results, streams)
         assert _clashed_positions(engine, launches, 2) == [1]
-        assert _replayed_positions(
-            worms, launches, CollisionRule.SERVE_FIRST
-        ) == {0: [2], 1: [1]}
+        # Worm 1's install at (2, 3) is the occupant, not contended.
+        assert _contended_positions(worms, launches) == {0: [2]}
         out = results["engine"].outcomes
         assert out[0].failed_at_link == 2 and out[0].blockers == (1,)
         assert out[1].delivered and out[2].delivered
@@ -575,9 +613,7 @@ class TestClashReplay:
             worms, launches, CollisionRule.SERVE_FIRST
         )
         _assert_identical(results, streams)
-        assert _replayed_positions(
-            worms, launches, CollisionRule.SERVE_FIRST
-        ) == {0: [3], 1: [1]}
+        assert _contended_positions(worms, launches) == {0: [3], 1: [1]}
         out = results["engine"].outcomes
         assert out[0].failed_at_link == 3 and out[1].failed_at_link == 1
         assert out[2].delivered
@@ -601,8 +637,9 @@ class TestClashReplay:
             tie_rule=TieRule.LOWEST_ID_WINS,
         )
         _assert_identical(results, streams)
-        assert _replayed_positions(
-            worms, launches, CollisionRule.SERVE_FIRST, TieRule.LOWEST_ID_WINS
+        # The tie's winner is contended too: it wins the tie.
+        assert _contended_positions(
+            worms, launches, TieRule.LOWEST_ID_WINS
         ) == {0: [3], 1: [1], 2: [1]}
         out = results["engine"].outcomes
         assert out[0].delivered
@@ -629,9 +666,7 @@ class TestClashReplay:
         )
         _assert_identical(results, streams)
         assert _clashed_positions(engine, launches, 0) == [3, 5]
-        assert _replayed_positions(
-            worms, launches, CollisionRule.SERVE_FIRST
-        ) == {0: [5], 2: [1]}
+        assert _contended_positions(worms, launches) == {0: [5]}
         out = results["engine"].outcomes
         assert out[0].failed_at_link == 5 and out[0].blockers == (2,)
         assert out[1].delivered and out[2].delivered
@@ -640,8 +675,7 @@ class TestClashReplay:
         # Worms 0 and 1 would tie on (3, 4) at t=3 and worm 2 follows at
         # t=4, but the link is dark: all three heads fault there, with
         # no collision. Worm 3 reaches (5, 6) at t=5, where worm 0 would
-        # have tied with it, and is delivered. Nothing is contended, so
-        # nothing replays.
+        # have tied with it, and is delivered. Nothing is contended.
         worms = [
             Worm(uid=0, path=_LINE, length=4),
             Worm(uid=1, path=(30, 3, 4, 31), length=4),
@@ -659,9 +693,7 @@ class TestClashReplay:
         )
         _assert_identical(results, streams)
         assert _clashed_positions(engine, launches, 0) == [3, 5]
-        assert _replayed_positions(
-            worms, launches, CollisionRule.SERVE_FIRST, dead_links=[(3, 4)]
-        ) == {}
+        assert _contended_positions(worms, launches, dead_links=[(3, 4)]) == {}
         out = results["engine"].outcomes
         for uid, pos in ((0, 3), (1, 1), (2, 1)):
             assert out[uid].failure is FailureKind.FAULTED
@@ -670,27 +702,52 @@ class TestClashReplay:
         assert results["engine"].collisions == ()
         assert results["engine"].faulted_links == ((3, 4),)
 
-    def test_disagreement_with_the_replay_raises(self, monkeypatch):
-        # The replay is checked against the settle step, never silently
-        # preferred to it: a settle step that kills no one contradicts
-        # the replay's elimination of worm 0.
-        import repro.core.engine as engine_module
 
-        settle = engine_module._settle
+class TestServeFirstNeverReplays:
+    """A serve-first pass resolves in numpy: no scalar replay, no runs.
 
-        def blind(*args):
-            dead_at, replay = settle(*args)
-            return np.full_like(dead_at, engine_module._ALIVE), replay
+    Run state (``_Run``) is built for a serve-first worm only when a
+    flight recorder needs it.
+    """
 
-        monkeypatch.setattr(engine_module, "_settle", blind)
-        worms = [
-            Worm(uid=0, path=_LINE, length=4),
-            Worm(uid=1, path=(20, 2, 3, 21), length=4),
-        ]
-        launches = [
-            Launch(worm=0, delay=0, wavelength=0),
-            Launch(worm=1, delay=0, wavelength=0),
-        ]
-        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
-        with pytest.raises(ProtocolError, match="worm 0: the replay ends it"):
-            engine.run_round(launches)
+    def _spy(self, monkeypatch):
+        calls = {"replay": 0, "runs": 0}
+        replay = RoutingEngine._resolve_scalar
+        run_init = engine_module._Run.__init__
+
+        def spy_replay(self, *args, **kwargs):
+            calls["replay"] += 1
+            return replay(self, *args, **kwargs)
+
+        def spy_run(self, *args, **kwargs):
+            calls["runs"] += 1
+            run_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoutingEngine, "_resolve_scalar", spy_replay)
+        monkeypatch.setattr(engine_module._Run, "__init__", spy_run)
+        return calls
+
+    def test_trials_never_replay(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        coll = mesh_random_function(6, 2, rng=3)
+        results = route_collection_trials(coll, bandwidth=1, trials=4, seed=5)
+        assert sum(r.rounds for r in results) > 4
+        assert calls == {"replay": 0, "runs": 0}
+        # The spies do see the priority rule's replay.
+        route_collection_trials(
+            coll, bandwidth=1, trials=2, seed=5, rule=CollisionRule.PRIORITY
+        )
+        assert calls["replay"] > 0 and calls["runs"] > 0
+
+    def test_runs_only_for_a_recorder(self, monkeypatch):
+        worms, launches = TestClashReplay()._elimination_case()
+        calls = self._spy(monkeypatch)
+        RoutingEngine(worms, CollisionRule.SERVE_FIRST).run_round(
+            launches, dead_links=[(5, 6)]
+        )
+        assert calls == {"replay": 0, "runs": 0}
+        recorder = FlightRecorder(_Collector())
+        RoutingEngine(worms, CollisionRule.SERVE_FIRST).run_round(
+            launches, dead_links=[(5, 6)], recorder=recorder
+        )
+        assert calls == {"replay": 0, "runs": len(worms)}

@@ -43,6 +43,20 @@ class TestLexorder:
         columns, bounds = case
         assert np.array_equal(_lexorder(columns, bounds), _reference(columns))
 
+    @given(keyed_columns(), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_kept_columns_come_back_sorted(self, case, keep):
+        # One packed word unpacks its leading columns; several words
+        # gather them. Either way they read as the columns in order.
+        columns, bounds = case
+        keep = min(keep, len(columns))
+        order, kept = _lexorder(columns, bounds, keep=keep)
+        want = _reference(columns)
+        assert np.array_equal(order, want)
+        assert len(kept) == keep
+        for col, got in zip(columns, kept):
+            assert np.array_equal(got, col[want])
+
     def test_random_columns(self):
         rng = np.random.default_rng(7)
         bounds = [5, 300, 2, 60, 1000]
