@@ -202,7 +202,9 @@ class _TrialState:
     ``_start_trial``, ``_prepare_round``, ``_absorb_round``,
     ``_finish_trial`` -- read and mutate it, and :func:`_run_lockstep`
     drives them for one trial (:meth:`TrialAndFailureProtocol.run`) or
-    many (:func:`run_protocol_batch`) alike.
+    many (:func:`run_protocol_batch`) alike; the streaming engine drives
+    the round methods itself. ``observe`` selects whether the stepper
+    emits the ``protocol_*`` metric family.
     """
 
     __slots__ = (
@@ -237,37 +239,218 @@ class _TrialState:
     )
 
 
-def _draw_launches(
-    active: list[int],
-    delta: int,
-    config: ProtocolConfig,
-    rng: np.random.Generator,
-) -> Launches:
-    """One round's launches for the ``active`` worms, in their order.
+class _RoundStepper:
+    """The protocol's round body: one round of one :class:`_TrialState`.
 
-    Draws delays in ``[0, delta)``, then wavelengths in
-    ``[0, bandwidth)``, then (priority rule, random mode) a priority
-    permutation, straight into :class:`Launches` columns. The static
-    protocol and the streaming engine both call this, so their draw
-    sequences cannot drift apart.
+    A driver owns the engine: it passes :meth:`_prepare_round` the
+    round's congestion, runs the launches it returns, and hands the
+    result to :meth:`_absorb_round`. A bare stepper is the paper's
+    protocol with ideal acks and no repair, which the streaming engine
+    steps over the worms it admits and retires between rounds;
+    :class:`TrialAndFailureProtocol` steps a fixed collection, adding
+    the engines, simulated acks and reroute repair that need one.
     """
-    k = len(active)
-    delays = rng.integers(0, delta, size=k)
-    wavelengths = rng.integers(0, config.bandwidth, size=k)
-    if config.rule is CollisionRule.PRIORITY:
-        mode = config.priority_mode
-        if mode == "random":
-            priorities = rng.permutation(k)
-        elif mode == "uid":
-            priorities = np.array(active)
-        else:  # reverse_uid
-            priorities = -np.array(active)
-    else:
-        priorities = None
-    return Launches(active, delays, wavelengths, priorities)
+
+    def __init__(
+        self,
+        config: ProtocolConfig,
+        *,
+        metrics: MetricsRegistry | None = None,
+        trace: "TraceWriter | None" = None,
+        trace_trial: int = 0,
+    ) -> None:
+        self.config = config
+        self._metrics = metrics
+        self._trace = trace
+        self._trace_trial = trace_trial
+        self._flight: "FlightRecorder | None" = None
+
+    def _open_trial(self, rng, links) -> _TrialState:
+        """A state before round 1, no worm active, faults started on ``links``."""
+        cfg = self.config
+        st = _TrialState()
+        st.rng = as_generator(rng)
+        st.metrics = self._metrics if self._metrics is not None else get_metrics()
+        st.observe = st.metrics.enabled
+        st.t_run = time.perf_counter() if st.observe else 0.0
+        st.active = []
+        st.delivered_round = {}
+        st.delivered_ever = set()
+        st.duplicates = 0
+        st.acks_lost = 0
+        st.records = []
+        st.collisions_per_round = []
+        st.repairs = []
+        st.total_time = 0
+        st.observed_time = 0
+        st.live_coll = None
+        st.live_paths = {}
+        st.base_ctx = None
+        st.dl = 0
+        st.fault_run = (
+            cfg.faults.start(links, st.rng) if cfg.faults is not None else None
+        )
+        st.monitor = LinkHealthMonitor(cfg.suspect_after)
+        st.cut_mask = None
+        st.cut = frozenset()
+        st.stall = StallDetector(
+            cfg.backoff_after, cfg.backoff_cap, cooldown=cfg.backoff_cooldown
+        )
+        st.completed = False
+        st.t = 0
+        return st
+
+    def _draw_launches(
+        self, active: list[int], delta: int, rng: np.random.Generator
+    ) -> Sequence[Launch]:
+        """One round's launches for the ``active`` worms, in their order.
+
+        Draws delays in ``[0, delta)``, then wavelengths in
+        ``[0, bandwidth)``, then (priority rule, random mode) a priority
+        permutation, straight into :class:`Launches` columns. Subclasses
+        override it to redraw wavelengths.
+        """
+        config = self.config
+        k = len(active)
+        delays = rng.integers(0, delta, size=k)
+        wavelengths = rng.integers(0, config.bandwidth, size=k)
+        if config.rule is CollisionRule.PRIORITY:
+            mode = config.priority_mode
+            if mode == "random":
+                priorities = rng.permutation(k)
+            elif mode == "uid":
+                priorities = np.array(active)
+            else:  # reverse_uid
+                priorities = -np.array(active)
+        else:
+            priorities = None
+        return Launches(active, delays, wavelengths, priorities)
+
+    def _acks(self, st: _TrialState, result) -> tuple[set[int], int]:
+        """The round's acked uids and ack makespan: the paper's ideal acks."""
+        return set(result.delivered), 0
+
+    def _prepare_round(
+        self, st: _TrialState, current_congestion: int | None
+    ) -> tuple[Sequence[Launch], "list | None"]:
+        """Advance to the next round and draw its launches and faults.
+
+        ``current_congestion`` is the surviving worms' path congestion
+        (None when untracked), measured by the driver: the lockstep loop
+        reads it for all live trials at once (:func:`_round_congestion`).
+        The caller must not call past ``max_rounds``. Everything that
+        draws from the round RNG happens here, in a fixed order: spawn
+        the round generator, draw launches, then fault the links.
+        """
+        cfg = self.config
+        st.t += 1
+        st.current_congestion = current_congestion
+        ctx = dataclasses.replace(
+            st.base_ctx, current_congestion=current_congestion
+        )
+        delta = cfg.schedule.delay_range(st.t, ctx)
+        if st.stall.multiplier > 1.0:
+            # Stall backoff: widen the launch window beyond what the
+            # schedule believes is enough (bounded exponential).
+            delta = max(1, int(math.ceil(delta * st.stall.multiplier)))
+        st.delta = delta
+
+        st.round_rng = spawn_generator(st.rng)
+        launches = self._draw_launches(st.active, delta, st.round_rng)
+        if self._flight is not None:
+            self._flight.begin_round(st.t)
+        dead_links = (
+            st.fault_run.dead_links(st.t, st.round_rng)
+            if st.fault_run is not None
+            else None
+        )
+        return launches, dead_links
+
+    def _absorb_round(self, st: _TrialState, result) -> set[int]:
+        """Fold one engine round's result into the trial state.
+
+        Acks, bookkeeping, metrics, trace records and health monitoring
+        happen here. Returns the round's acked uids; ``st.completed``
+        says whether any worm is still active.
+        """
+        cfg = self.config
+        metrics = st.metrics
+        observe = st.observe
+        t = st.t
+        if cfg.collect_collisions:
+            st.collisions_per_round.append(result.collisions)
+
+        delivered = result.delivered
+        st.duplicates += sum(1 for uid in delivered if uid in st.delivered_ever)
+        st.delivered_ever.update(delivered)
+
+        acked, ack_span = self._acks(st, result)
+
+        if st.fault_run is not None and acked:
+            lost = st.fault_run.lost_acks(t, sorted(acked), st.round_rng)
+            if lost:
+                acked -= lost
+                st.acks_lost += len(lost)
+                if observe:
+                    metrics.inc("protocol_acks_lost_total", len(lost))
+
+        if self._flight is not None:
+            self._flight.end_round(
+                result.makespan, ack_span=ack_span, acked=sorted(acked)
+            )
+
+        for uid in acked:
+            st.delivered_round.setdefault(uid, t)
+        st.active = [uid for uid in st.active if uid not in acked]
+
+        kinds = result.failure_counts
+        duration = st.delta + 2 * st.dl
+        observed = max(result.makespan or 0, ack_span) + 1
+        st.total_time += duration
+        st.observed_time += observed
+        record = RoundRecord(
+            index=t,
+            delay_range=st.delta,
+            active_before=result.n_launched,
+            delivered=len(delivered),
+            eliminated=kinds[FailureKind.ELIMINATED],
+            truncated=kinds[FailureKind.TRUNCATED],
+            acked=len(acked),
+            duration=duration,
+            observed_span=observed,
+            active_congestion=st.current_congestion,
+            faulted=kinds[FailureKind.FAULTED],
+        )
+        st.records.append(record)
+        if observe:
+            metrics.inc("protocol_rounds_total")
+            metrics.inc("protocol_delivered_total", len(delivered))
+            metrics.inc("protocol_eliminated_total", record.eliminated)
+            metrics.inc("protocol_truncated_total", record.truncated)
+            metrics.inc("protocol_faulted_total", record.faulted)
+            metrics.inc("protocol_acked_total", len(acked))
+            metrics.gauge("protocol_active_worms", len(st.active))
+            if st.current_congestion is not None:
+                metrics.gauge("protocol_congestion", st.current_congestion)
+        if self._trace is not None:
+            self._trace.write(
+                "round", trial=self._trace_trial, **dataclasses.asdict(record)
+            )
+
+        if result.faulted_links:
+            st.monitor.observe_round(result.faulted_links)
+            if observe:
+                metrics.gauge(
+                    "protocol_suspected_links", len(st.monitor.suspected)
+                )
+        if st.stall.observe_round(len(acked)) and observe:
+            metrics.inc("protocol_backoff_escalations_total")
+
+        st.completed = not st.active
+        return acked
 
 
-class TrialAndFailureProtocol:
+class TrialAndFailureProtocol(_RoundStepper):
     """Drives the round loop over a fixed path collection.
 
     ``metrics`` optionally names the registry receiving per-round
@@ -295,11 +478,8 @@ class TrialAndFailureProtocol:
         flight: "bool | FlightRecorder" = False,
         _share_from: "TrialAndFailureProtocol | None" = None,
     ) -> None:
+        super().__init__(config, metrics=metrics, trace=trace, trace_trial=trace_trial)
         self.collection = collection
-        self.config = config
-        self._metrics = metrics
-        self._trace = trace
-        self._trace_trial = trace_trial
         # _share_from lets the lockstep batch driver stamp out one
         # protocol per trial of the *same* collection and config without
         # re-deriving worms and link layouts: the worm list is shared
@@ -319,7 +499,6 @@ class TrialAndFailureProtocol:
             if share is not None
             else make_worms(collection.paths, config.worm_length)
         )
-        self._flight: "FlightRecorder | None" = None
         if flight:
             from repro.observability.flightrec import FlightRecorder
 
@@ -388,38 +567,37 @@ class TrialAndFailureProtocol:
 
     # -- round internals -----------------------------------------------------
 
-    def _draw_launches(
-        self, active: list[int], delta: int, rng: np.random.Generator
-    ) -> Sequence[Launch]:
-        """This round's launches; subclasses override to redraw wavelengths."""
-        return _draw_launches(active, delta, self.config, rng)
+    def _acks(self, st: _TrialState, result) -> tuple[set[int], int]:
+        """Ideal acks, or simulated acks routed on the ack engine.
 
-    def _route_acks(
-        self, result, rng: np.random.Generator
-    ) -> tuple[set[int], int]:
-        """Simulated acks for ``result``'s deliveries: (acked uids, ack makespan).
-
-        Reads the delivered worms' completion times off the round's
-        outcome columns, so no per-worm outcome record is built.
+        Simulated acks read the delivered worms' completion times off
+        the round's outcome columns, so no per-worm outcome record is
+        built.
         """
-        assert self._ack_engine is not None
+        if self.config.ack_mode == "ideal":
+            return super()._acks(st, result)
+        t_ack = time.perf_counter() if st.observe else 0.0
         cols = result.columns
         done = cols.code == 0
         delivered = cols.worm[done]
-        if not delivered.shape[0]:
-            return set(), 0
-        ranks = rng.permutation(delivered.shape[0])
-        # One scalar draw per ack, in delivery order, as the ack stream
-        # has always drawn them.
-        bandwidth = self.config.bandwidth
-        wavelengths = [int(rng.integers(0, bandwidth)) for _ in range(ranks.shape[0])]
-        offset = len(self.worms)
-        launches = Launches(
-            delivered + offset, cols.completion[done] + 1, wavelengths, ranks
-        )
-        result = self._ack_engine.run_round(launches, collect_collisions=False)
-        acked = {uid - offset for uid in result.delivered}
-        return acked, (result.makespan or 0)
+        acked, span = set(), 0
+        if delivered.shape[0]:
+            rng = st.round_rng
+            ranks = rng.permutation(delivered.shape[0])
+            # One scalar draw per ack, in delivery order, as the ack
+            # stream has always drawn them.
+            bandwidth = self.config.bandwidth
+            wavelengths = [int(rng.integers(0, bandwidth)) for _ in range(ranks.shape[0])]
+            offset = len(self.worms)
+            launches = Launches(
+                delivered + offset, cols.completion[done] + 1, wavelengths, ranks
+            )
+            acks = self._ack_engine.run_round(launches, collect_collisions=False)
+            acked = {uid - offset for uid in acks.delivered}
+            span = acks.makespan or 0
+        if st.observe:
+            st.metrics.observe("protocol_ack_seconds", time.perf_counter() - t_ack)
+        return acked, span
 
     # -- fault-awareness helpers ---------------------------------------------
 
@@ -551,184 +729,30 @@ class TrialAndFailureProtocol:
 
     def _start_trial(self, rng=None) -> _TrialState:
         """Initialise one execution's loop state (everything before round 1)."""
-        cfg = self.config
-        st = _TrialState()
-        st.rng = as_generator(rng)
-        st.metrics = self._metrics if self._metrics is not None else get_metrics()
-        st.observe = st.metrics.enabled
-        st.t_run = time.perf_counter() if st.observe else 0.0
         if self._repaired:
             # A previous run on this instance rerouted worms; reset to the
             # pristine collection so reruns stay seed-deterministic.
-            self.worms = make_worms(self.collection.paths, cfg.worm_length)
+            self.worms = make_worms(self.collection.paths, self.config.worm_length)
             self._build_engines(self.worms, self.collection)
             self._repaired = False
+        st = self._open_trial(rng, self.collection.links)
         st.active = [w.uid for w in self.worms]
-        st.delivered_round = {}
-        st.delivered_ever = set()
-        st.duplicates = 0
-        st.acks_lost = 0
-        st.records = []
-        st.collisions_per_round = []
-        st.repairs = []
-        st.total_time = 0
-        st.observed_time = 0
         st.live_coll = self.collection
         st.live_paths = {w.uid: w.path for w in self.worms}
         st.base_ctx = self._base_ctx
-        st.dl = st.live_coll.dilation + cfg.worm_length
-        st.fault_run = (
-            cfg.faults.start(self.collection.links, st.rng)
-            if cfg.faults is not None
-            else None
-        )
-        st.monitor = LinkHealthMonitor(cfg.suspect_after)
-        st.cut_mask = None
-        st.cut = frozenset()
-        st.stall = StallDetector(
-            cfg.backoff_after, cfg.backoff_cap, cooldown=cfg.backoff_cooldown
-        )
-        st.completed = False
-        st.t = 0
+        st.dl = self.collection.dilation + self.config.worm_length
         return st
 
-    def _prepare_round(
-        self, st: _TrialState, current_congestion: int | None
-    ) -> tuple[Sequence[Launch], "list | None"]:
-        """Advance to the next round and draw its launches and faults.
-
-        ``current_congestion`` is the surviving worms' path congestion
-        (None when untracked), measured for all live trials at once by
-        :func:`_round_congestion`. The caller must not call past
-        ``max_rounds``. Everything that draws from the round RNG happens
-        here, in a fixed order: spawn the round generator, draw
-        launches, then fault the links.
-        """
-        cfg = self.config
-        st.t += 1
-        st.current_congestion = current_congestion
-        ctx = dataclasses.replace(
-            st.base_ctx, current_congestion=current_congestion
-        )
-        delta = cfg.schedule.delay_range(st.t, ctx)
-        if st.stall.multiplier > 1.0:
-            # Stall backoff: widen the launch window beyond what the
-            # schedule believes is enough (bounded exponential).
-            delta = max(1, int(math.ceil(delta * st.stall.multiplier)))
-        st.delta = delta
-
-        st.round_rng = spawn_generator(st.rng)
-        launches = self._draw_launches(st.active, delta, st.round_rng)
-        if self._flight is not None:
-            self._flight.begin_round(st.t)
-        dead_links = (
-            st.fault_run.dead_links(st.t, st.round_rng)
-            if st.fault_run is not None
-            else None
-        )
-        return launches, dead_links
-
-    def _absorb_round(self, st: _TrialState, result) -> bool:
-        """Fold one engine round's result into the trial state.
-
-        Acks (simulated acks route on this trial's own ack engine),
-        bookkeeping, metrics, trace records, health monitoring, and
-        repair all happen here. Returns True when the trial completed
-        (every worm acknowledged).
-        """
-        cfg = self.config
-        metrics = st.metrics
-        observe = st.observe
-        t = st.t
-        if cfg.collect_collisions:
-            st.collisions_per_round.append(result.collisions)
-
-        delivered = result.delivered
-        st.duplicates += sum(1 for uid in delivered if uid in st.delivered_ever)
-        st.delivered_ever.update(delivered)
-
-        if cfg.ack_mode == "ideal":
-            acked = set(delivered)
-            ack_span = 0
-        else:
-            t_ack = time.perf_counter() if observe else 0.0
-            acked, ack_span = self._route_acks(result, st.round_rng)
-            if observe:
-                metrics.observe(
-                    "protocol_ack_seconds", time.perf_counter() - t_ack
-                )
-
-        if st.fault_run is not None and acked:
-            lost = st.fault_run.lost_acks(t, sorted(acked), st.round_rng)
-            if lost:
-                acked -= lost
-                st.acks_lost += len(lost)
-                if observe:
-                    metrics.inc("protocol_acks_lost_total", len(lost))
-
-        if self._flight is not None:
-            self._flight.end_round(
-                result.makespan, ack_span=ack_span, acked=sorted(acked)
-            )
-
-        for uid in acked:
-            st.delivered_round.setdefault(uid, t)
-        st.active = [uid for uid in st.active if uid not in acked]
-
-        kinds = result.failure_counts
-        duration = st.delta + 2 * st.dl
-        observed = max(result.makespan or 0, ack_span) + 1
-        st.total_time += duration
-        st.observed_time += observed
-        record = RoundRecord(
-            index=t,
-            delay_range=st.delta,
-            active_before=result.n_launched,
-            delivered=len(delivered),
-            eliminated=kinds[FailureKind.ELIMINATED],
-            truncated=kinds[FailureKind.TRUNCATED],
-            acked=len(acked),
-            duration=duration,
-            observed_span=observed,
-            active_congestion=st.current_congestion,
-            faulted=kinds[FailureKind.FAULTED],
-        )
-        st.records.append(record)
-        if observe:
-            metrics.inc("protocol_rounds_total")
-            metrics.inc("protocol_delivered_total", len(delivered))
-            metrics.inc("protocol_eliminated_total", record.eliminated)
-            metrics.inc("protocol_truncated_total", record.truncated)
-            metrics.inc("protocol_faulted_total", record.faulted)
-            metrics.inc("protocol_acked_total", len(acked))
-            metrics.gauge("protocol_active_worms", len(st.active))
-            if st.current_congestion is not None:
-                metrics.gauge("protocol_congestion", st.current_congestion)
-        if self._trace is not None:
-            self._trace.write(
-                "round", trial=self._trace_trial, **dataclasses.asdict(record)
-            )
-
-        if result.faulted_links:
-            st.monitor.observe_round(result.faulted_links)
-            if observe:
-                metrics.gauge(
-                    "protocol_suspected_links", len(st.monitor.suspected)
-                )
-        if st.stall.observe_round(len(acked)) and observe:
-            metrics.inc("protocol_backoff_escalations_total")
-
-        if not st.active:
-            st.completed = True
-            return True
-
-        if cfg.repair != "reroute":
-            return False
+    def _absorb_round(self, st: _TrialState, result) -> set[int]:
+        """The round body, then reroute repair of stranded worms."""
+        acked = super()._absorb_round(st, result)
+        if st.completed or self.config.repair != "reroute":
+            return acked
         changes = self._attempt_repairs(st)
         if changes:
             st.live_coll = st.live_coll.rerouted(changes)
             self._build_engines(self.worms, st.live_coll)
-            st.dl = st.live_coll.dilation + cfg.worm_length
+            st.dl = st.live_coll.dilation + self.config.worm_length
             # Repaired paths void the original invariants; re-anchor
             # the schedule on the repaired collection's measures.
             st.base_ctx = dataclasses.replace(
@@ -736,7 +760,7 @@ class TrialAndFailureProtocol:
                 dilation=st.live_coll.dilation,
                 congestion=st.live_coll.path_congestion,
             )
-        return False
+        return acked
 
     def _finish_trial(self, st: _TrialState) -> ProtocolResult:
         """Diagnose, emit final metrics/trace, and build the result."""
@@ -839,8 +863,8 @@ def _run_lockstep(
                 ))
             next_live = []
             for i, (proto, st), result in zip(live, stepping, run_round_batch(calls)):
-                done = proto._absorb_round(st, result)
-                if done or st.t >= proto.config.max_rounds:
+                proto._absorb_round(st, result)
+                if st.completed or st.t >= proto.config.max_rounds:
                     results[i] = proto._finish_trial(st)
                 else:
                     next_live.append(i)
@@ -871,37 +895,18 @@ def _round_congestion(
     for group in groups.values():
         proto, st = trials[group[0]]
         coll = st.live_coll
-        vals = _subset_congestion(
-            coll,
-            [trials[k][1].active for k in group],
-            oracle=coll is proto.collection
-            or coll.n <= path_collection._PATCH_MAX_PATHS,
-        )
+        actives = [trials[k][1].active for k in group]
+        vals = None
+        if coll is proto.collection or coll.n <= path_collection._PATCH_MAX_PATHS:
+            masks = np.zeros((len(actives), coll.n), dtype=bool)
+            for row, active in enumerate(actives):
+                masks[row, active] = True
+            vals = coll.subset_congestion_batch(masks)
+        if vals is None:
+            vals = [coll.subset(active).path_congestion for active in actives]
         for k, val in zip(group, vals):
-            congestion[k] = val
+            congestion[k] = int(val)
     return congestion
-
-
-def _subset_congestion(
-    coll: PathCollection, actives: list[list[int]], oracle: bool = True
-) -> list[int]:
-    """``coll.subset(active).path_congestion`` for each of ``actives``.
-
-    With ``oracle`` set, one
-    :meth:`~repro.paths.collection.PathCollection.subset_congestion_batch`
-    call of one mask row per active list; without it, or past the share
-    matrix's size gate, one :meth:`~repro.paths.collection.PathCollection.subset`
-    per active list.
-    """
-    vals = None
-    if oracle:
-        masks = np.zeros((len(actives), coll.n), dtype=bool)
-        for row, active in enumerate(actives):
-            masks[row, active] = True
-        vals = coll.subset_congestion_batch(masks)
-    if vals is None:
-        vals = [coll.subset(active).path_congestion for active in actives]
-    return [int(val) for val in vals]
 
 
 def route_collection(

@@ -20,10 +20,9 @@ snapshots. :func:`write_profile` exports a snapshot as one
 The process default is :data:`NULL_PROFILER`, a :class:`NullProfiler`
 whose ``span()`` returns a shared no-op context manager, so the
 instrumented layers (:class:`~repro.core.engine.RoutingEngine` stages,
-:class:`~repro.core.protocol.TrialAndFailureProtocol` rounds,
-:class:`~repro.runners.trial.TrialRunner` trials and the
-:class:`~repro.scenarios.engine.StreamingEngine` admission/round/retire
-phases) cost essentially nothing until :func:`enable_profiling` swaps
+:class:`~repro.core.protocol.TrialAndFailureProtocol` and streaming
+rounds, :class:`~repro.runners.trial.TrialRunner` trials and the
+:class:`~repro.scenarios.engine.StreamingEngine` admission phase) cost essentially nothing until :func:`enable_profiling` swaps
 in a real profiler -- the same opt-in shape as ``enable_metrics``, with
 the same <5% disabled-overhead tripwire in the test suite. Render a
 snapshot with :func:`repro.observability.analysis.render_spans`.

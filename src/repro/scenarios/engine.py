@@ -1,24 +1,25 @@
 """Streaming traffic engine: the trial-and-failure protocol as an open system.
 
 The paper's protocol routes a *fixed* batch of worms until the last ack
-arrives. This module runs the same round machinery as an open system:
-worm requests arrive continuously from a seed-deterministic
+arrives. This module runs it as an open system: worm requests arrive
+continuously from a seed-deterministic
 :class:`~repro.scenarios.arrivals.ArrivalProcess`, are admitted between
-rounds (bounded by ``max_active``), routed by the shared
-:class:`~repro.core.engine.RoutingEngine`, and retired on ack or on
-``patience`` expiry. Steady-state behaviour -- throughput, admission
-latency, drop rate -- replaces makespan as the headline observable.
+rounds (bounded by ``max_active``), and are retired on ack or on
+``patience`` expiry. Each routed round is the protocol's own round
+stepper (:mod:`repro.core.protocol`) over a
+:class:`~repro.core.engine.RoutingEngine` that admissions grow; this
+module keeps only admission, expiry, retirement and the ``scenario_*``
+observables. Steady-state behaviour -- throughput, admission latency,
+drop rate -- replaces makespan as the headline observable.
 
-Determinism contract: the engine draws all routing randomness from the
-caller's generator in *exactly* the static protocol's per-round order
-(congestion, schedule, ``spawn_generator`` for the round, delays,
-wavelengths, priorities, fault draws, ack-loss draws), and all arrival
-randomness from one private generator spawned once up front. Two
-consequences, both pinned by tests:
+Determinism contract: routing randomness comes from the caller's
+generator through the stepper, so in the static protocol's per-round
+order, and all arrival randomness from one private generator spawned
+once up front. Two consequences, both pinned by tests:
 
-* with ``arrivals=None`` (drain mode) the engine replays the exact draw
-  sequence of :class:`~repro.core.protocol.TrialAndFailureProtocol` and
-  produces bit-identical per-round records on every backend;
+* with ``arrivals=None`` (drain mode) the engine steps a
+  :class:`~repro.core.protocol.TrialAndFailureProtocol` trial of the
+  backlog and reproduces its per-round records bit for bit;
 * a fixed (scenario, seed) pair yields an identical
   :meth:`StreamingResult.snapshot` on every run.
 """
@@ -27,24 +28,29 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
-from repro._util import as_generator, spawn_generator
+from repro._util import spawn_generator
 from repro.core.engine import RoutingEngine
-from repro.core.protocol import ProtocolConfig, _draw_launches, _subset_congestion
+from repro.core.protocol import (
+    ProtocolConfig,
+    TrialAndFailureProtocol,
+    _round_congestion,
+    _RoundStepper,
+    _TrialState,
+)
 from repro.core.schedule import ScheduleContext
 from repro.errors import ScenarioError
-from repro.faults.health import StallDetector
 from repro.network.topology import Topology
+from repro.observability.groupstats import Reservoir
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
 from repro.paths.collection import LivePathSet, PathCollection
 from repro.paths.layout import LinkLayout, topology_universe
 from repro.scenarios.arrivals import ArrivalProcess
 from repro.scenarios.traffic import TrafficPattern
-from repro.worms.worm import Worm, make_worms
+from repro.worms.worm import Worm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.trace import TraceWriter
@@ -299,18 +305,25 @@ class StreamingResult:
 
 
 #: Latency samples retained per window; windows holding more acks than
-#: this report reservoir-sampled (still deterministic) quantiles.
+#: this report reservoir-estimated (still deterministic) quantiles.
 WINDOW_RESERVOIR_CAP = 256
+
+#: The round-record fields a window sums.
+_WINDOW_SUMS = (
+    "offered", "admitted", "rejected", "expired", "acked", "delivered", "duration"
+)
 
 
 class _WindowTracker:
     """Bounded-memory accumulator behind ``snapshot_every`` (internal).
 
-    Sums per-round deltas and reservoir-samples ack latencies until
-    ``every`` rounds have elapsed, then :meth:`flush` produces one
-    JSON-ready window dict and resets. The reservoir draws from a
-    *private* seeded ``random.Random`` -- never from the run's routing
-    generator -- so windowed and unwindowed runs are bit-identical.
+    Sums per-round deltas and samples ack latencies into a
+    :class:`~repro.observability.groupstats.Reservoir` until ``every``
+    rounds have elapsed, then :meth:`flush` produces one JSON-ready
+    window dict and resets. The reservoir keys each latency by its
+    worm's uid and draws no randomness, so windowed and unwindowed runs
+    are bit-identical; quantiles are exact up to ``cap`` acks per
+    window.
     """
 
     def __init__(self, every: int, cap: int = WINDOW_RESERVOIR_CAP) -> None:
@@ -318,79 +331,155 @@ class _WindowTracker:
         self.cap = cap
         self.index = 0
         self.start = 1
-        self._rng = random.Random(0x5EED)
         self._reset()
 
     def _reset(self) -> None:
-        self.offered = self.admitted = self.rejected = self.expired = 0
-        self.acked = self.delivered = self.duration = self.rounds = 0
-        self.seen = 0
-        self.sample: list[int] = []
+        self.rounds = 0
+        self.sums = dict.fromkeys(_WINDOW_SUMS, 0)
+        self.latency = Reservoir(self.cap)
 
-    def observe_latency(self, latency: int) -> None:
-        """Reservoir-sample one admission-to-ack latency (algorithm R)."""
-        self.seen += 1
-        if len(self.sample) < self.cap:
-            self.sample.append(latency)
-        else:
-            j = self._rng.randrange(self.seen)
-            if j < self.cap:
-                self.sample[j] = latency
+    def observe_latency(self, latency: int, uid: int | None = None) -> None:
+        """Sample one ack latency, keyed by its worm's uid (else its index)."""
+        self.latency.observe(latency, self.latency.count if uid is None else uid)
 
     def observe_round(self, record: StreamingRoundRecord) -> None:
         """Fold one round's deltas into the open window."""
-        self.offered += record.offered
-        self.admitted += record.admitted
-        self.rejected += record.rejected
-        self.expired += record.expired
-        self.acked += record.acked
-        self.delivered += record.delivered
-        self.duration += record.duration
+        for key in _WINDOW_SUMS:
+            self.sums[key] += getattr(record, key)
         self.rounds += 1
-
-    @property
-    def due(self) -> bool:
-        """True once the open window spans ``every`` rounds."""
-        return self.rounds >= self.every
 
     def flush(self, end_round: int, active: int) -> dict:
         """Close the window ending at ``end_round`` and reset for the next."""
-        data = sorted(self.sample)
-
-        def q(p: float) -> float | None:
-            if not data:
-                return None
-            idx = min(len(data) - 1, max(0, math.ceil(p * len(data)) - 1))
-            return float(data[idx])
-
+        sums = self.sums
+        offered, duration = sums["offered"], sums["duration"]
         window = {
             "window": self.index,
             "start_round": self.start,
             "end_round": end_round,
             "rounds": self.rounds,
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "acked": self.acked,
-            "delivered": self.delivered,
-            "duration": self.duration,
+            **sums,
             "active": active,
-            "throughput": self.acked / self.duration if self.duration else 0.0,
+            "throughput": sums["acked"] / duration if duration else 0.0,
             "drop_rate": (
-                (self.rejected + self.expired) / self.offered
-                if self.offered
-                else 0.0
+                (sums["rejected"] + sums["expired"]) / offered if offered else 0.0
             ),
-            "latency_p50": q(0.50),
-            "latency_p95": q(0.95),
-            "latency_p99": q(0.99),
-            "latency_samples": self.seen,
+            "latency_p50": self.latency.quantile(0.50),
+            "latency_p95": self.latency.quantile(0.95),
+            "latency_p99": self.latency.quantile(0.99),
+            "latency_samples": self.latency.count,
         }
         self.index += 1
         self.start = end_round + 1
         self._reset()
         return window
+
+
+class _OpenStepper(_RoundStepper):
+    """The protocol's round stepper over an open worm population.
+
+    Between rounds :meth:`admit` expires the impatient and admits the
+    round's arrivals; after each round the acked worms retire. Owns the
+    private arrivals generator, the live path set and the routing
+    engine, which the first admission builds over the topology's links,
+    so no later admission meets a link it lacks.
+    """
+
+    def __init__(self, owner: "StreamingEngine") -> None:
+        super().__init__(owner.config.protocol, metrics=owner._metrics)
+        self.streaming = owner.config
+        self.network = owner.network
+
+    def _start_trial(self, rng=None) -> _TrialState:
+        """An empty system: faults start first, then the arrivals stream."""
+        topology = self.network.topology
+        st = self._open_trial(rng, topology.directed_links)
+        self.rng = spawn_generator(st.rng)
+        self.arrivals = self.streaming.arrivals.start()
+        self.traffic = self.streaming.traffic.start(self.network.nodes)
+        self.live = LivePathSet(topology)
+        self.engine: RoutingEngine | None = None
+        self.admitted_round: dict[int, int] = {}
+        return st
+
+    def _retire(self, uids: list[int]) -> None:
+        """Drop acked or expired worms from the engine and the live set."""
+        self.engine.retire_worms(uids)
+        for uid in uids:
+            self.live.remove(uid)
+
+    def _absorb_round(self, st: _TrialState, result) -> set[int]:
+        """The round body, then the acked worms' retirement."""
+        acked = super()._absorb_round(st, result)
+        if acked:
+            self._retire(sorted(acked))
+        return acked
+
+    def admit(self, t: int, st: _TrialState, metrics, observe: bool) -> tuple:
+        """Round ``t``'s admission phase, "between rounds".
+
+        Expires the impatient, then draws and admits this round's
+        arrivals into ``st``, re-anchoring its schedule envelope on the
+        enlarged system. Returns the round's ``(offered, admitted,
+        rejected, expired)`` counts.
+        """
+        cfg = self.streaming
+        proto = self.config
+        born = self.admitted_round
+        expired = 0
+        if cfg.patience is not None and st.active:
+            stale = [uid for uid in st.active if t - born[uid] >= cfg.patience]
+            if stale:
+                self._retire(stale)
+                stale_set = set(stale)
+                st.active = [uid for uid in st.active if uid not in stale_set]
+                expired = len(stale)
+                if observe:
+                    metrics.inc("scenario_dropped_total", expired, reason="expired")
+        offered = self.arrivals.count(t, self.rng, cfg.rate_multiplier(t))
+        if observe and offered:
+            metrics.inc("scenario_offered_total", offered)
+        admitted = min(offered, max(0, cfg.max_active - len(st.active)))
+        rejected = offered - admitted
+        if rejected and observe:
+            metrics.inc("scenario_dropped_total", rejected, reason="rejected")
+        if not admitted:
+            return offered, admitted, rejected, expired
+        worms = []
+        for src, dst in self.traffic.pairs(admitted, self.rng):
+            uid = len(born)  # uids number admissions from 0
+            path = tuple(self.network.path_fn(src, dst))
+            # Validates the path, before the engine sees any worm of
+            # this admission.
+            self.live.add(uid, path)
+            worms.append(Worm(uid=uid, path=path, length=proto.worm_length))
+            born[uid] = t
+            st.active.append(uid)
+        if self.engine is None:
+            universe = topology_universe(self.network.topology)
+            self.engine = RoutingEngine(
+                worms,
+                proto.rule,
+                proto.tie_rule,
+                metrics=self._metrics,
+                layout=LinkLayout.compile([w.path for w in worms], universe),
+            )
+        else:
+            self.engine.add_worms(worms)
+        if observe:
+            metrics.inc("scenario_admitted_total", admitted)
+        # Re-anchor the schedule envelope on the enlarged system
+        # (congestion/dilation can only be refreshed when membership
+        # changes).
+        live = self.live
+        st.base_ctx = ScheduleContext(
+            n=live.n,
+            bandwidth=proto.bandwidth,
+            worm_length=proto.worm_length,
+            dilation=live.dilation,
+            congestion=live.path_congestion,
+        )
+        st.dl = live.dilation + proto.worm_length
+        return offered, admitted, rejected, expired
 
 
 class StreamingEngine:
@@ -437,23 +526,6 @@ class StreamingEngine:
         self._trace_trial = trace_trial
         self._on_window = on_window
 
-    # -- helpers -------------------------------------------------------------
-
-    def _build_engine(self, worms: list[Worm], layout: LinkLayout) -> RoutingEngine:
-        """The run's engine over ``worms``, whose paths ``layout`` lays out.
-
-        Streaming runs lay paths out over the topology's links, so
-        admissions never meet a link the engine's universe lacks.
-        """
-        proto = self.config.protocol
-        return RoutingEngine(
-            worms,
-            proto.rule,
-            proto.tie_rule,
-            metrics=self._metrics,
-            layout=layout,
-        )
-
     def _emit_window(self, window: dict, metrics, observe: bool) -> None:
         """Ship one closed window to the trace, gauges and callback."""
         if self._trace is not None:
@@ -471,305 +543,111 @@ class StreamingEngine:
         if self._on_window is not None:
             self._on_window(window)
 
-    # -- main loop -----------------------------------------------------------
-
     def run(self, rng=None) -> StreamingResult:
         """Execute the run; each call restarts from a fresh system state."""
         cfg = self.config
         proto = cfg.protocol
-        rng = as_generator(rng)
         metrics = self._metrics if self._metrics is not None else get_metrics()
         observe = metrics.enabled
         prof = get_profiler()
         streaming = cfg.arrivals is not None
-        tracker = (
-            _WindowTracker(cfg.snapshot_every)
-            if cfg.snapshot_every is not None
-            else None
-        )
+        every = cfg.snapshot_every
+        tracker = None if every is None else _WindowTracker(every)
 
-        engine: RoutingEngine | None = None
-        active: list[int] = []
-        live: LivePathSet | None = None
-        delivered_round: dict[int, int] = {}
-        admitted_round: dict[int, int] = {}
-        latencies: list[int] = []
-        records: list[StreamingRoundRecord] = []
-        offered = admitted = rejected = expired = acked_total = 0
-        total_time = 0
-        base_ctx: ScheduleContext | None = None
-        dl = 0
-        next_uid = 0
-
-        # Fault state first (stateful models consume one spawn there),
-        # exactly as the static protocol does; only then the private
-        # arrivals stream, so drain mode never perturbs the sequence.
-        links = (
-            self.network.topology.directed_links
-            if streaming
-            else self.collection.links
-        )
-        fault_run = (
-            proto.faults.start(links, rng) if proto.faults is not None else None
-        )
-        stall = StallDetector(
-            proto.backoff_after, proto.backoff_cap, cooldown=proto.backoff_cooldown
-        )
-
+        # The trial state first: its fault model starts there (stateful
+        # models consume one spawn), exactly as in a static run. Only
+        # then the private arrivals stream, so drain mode never perturbs
+        # the sequence.
         if streaming:
-            live = LivePathSet(self.network.topology)
-            arr_rng = spawn_generator(rng)
-            arr_stream = cfg.arrivals.start()
-            traffic_stream = cfg.traffic.start(self.network.nodes)
+            stepper = _OpenStepper(self)
+            st = stepper._start_trial(rng)
+            admitted_round = stepper.admitted_round
             horizon = cfg.rounds
         else:
-            arr_rng = arr_stream = traffic_stream = None
-            worms = make_worms(self.collection.paths, proto.worm_length)
-            engine = self._build_engine(worms, self.collection.layout)
-            active = [w.uid for w in worms]
-            admitted_round = {uid: 1 for uid in active}
-            offered = admitted = len(active)
-            next_uid = len(active)
-            base_ctx = ScheduleContext(
-                n=self.collection.n,
-                bandwidth=proto.bandwidth,
-                worm_length=proto.worm_length,
-                dilation=self.collection.dilation,
-                congestion=self.collection.path_congestion,
+            stepper = TrialAndFailureProtocol(
+                self.collection, proto, metrics=self._metrics
             )
-            dl = self.collection.dilation + proto.worm_length
+            st = stepper._start_trial(rng)
+            admitted_round = dict.fromkeys(st.active, 1)
             horizon = proto.max_rounds
+        # The scenario_* family below stands in for the protocol's.
+        st.observe = False
+        backlog = len(st.active)
+        latencies: list[int] = []
+        records: list[StreamingRoundRecord] = []
 
-        completed = False
-        rounds_used = 0
         for t in range(1, horizon + 1):
-            rounds_used = t
-            round_offered = round_admitted = round_rejected = round_expired = 0
-
+            counts = (0, 0, 0, 0)
             if streaming:
                 with prof.span("scenario.admission"):
-                    # Admission phase, "between rounds": expire the
-                    # impatient, then draw and admit this round's arrivals.
-                    if cfg.patience is not None and active:
-                        stale = [
-                            uid
-                            for uid in active
-                            if t - admitted_round[uid] >= cfg.patience
-                        ]
-                        if stale:
-                            engine.retire_worms(stale)
-                            stale_set = set(stale)
-                            active = [u for u in active if u not in stale_set]
-                            for uid in stale:
-                                live.remove(uid)
-                            round_expired = len(stale)
-                            expired += round_expired
-                            if observe:
-                                metrics.inc(
-                                    "scenario_dropped_total",
-                                    round_expired,
-                                    reason="expired",
-                                )
-                    k = arr_stream.count(t, arr_rng, cfg.rate_multiplier(t))
-                    round_offered = k
-                    offered += k
-                    if observe and k:
-                        metrics.inc("scenario_offered_total", k)
-                    admit = min(k, max(0, cfg.max_active - len(active)))
-                    round_rejected = k - admit
-                    rejected += round_rejected
-                    if round_rejected and observe:
-                        metrics.inc(
-                            "scenario_dropped_total",
-                            round_rejected,
-                            reason="rejected",
-                        )
-                    if admit:
-                        new_worms = []
-                        for src, dst in traffic_stream.pairs(admit, arr_rng):
-                            path = tuple(self.network.path_fn(src, dst))
-                            # Validates the path, before the engine sees
-                            # any worm of this admission.
-                            live.add(next_uid, path)
-                            new_worms.append(
-                                Worm(uid=next_uid, path=path, length=proto.worm_length)
-                            )
-                            admitted_round[next_uid] = t
-                            active.append(next_uid)
-                            next_uid += 1
-                        if engine is None:
-                            engine = self._build_engine(
-                                new_worms,
-                                LinkLayout.compile(
-                                    [w.path for w in new_worms],
-                                    topology_universe(self.network.topology),
-                                ),
-                            )
-                        else:
-                            engine.add_worms(new_worms)
-                        round_admitted = admit
-                        admitted += admit
-                        if observe:
-                            metrics.inc("scenario_admitted_total", admit)
-                        # Re-anchor the schedule envelope on the enlarged
-                        # system (congestion/dilation can only be refreshed
-                        # when membership changes).
-                        dilation = live.dilation
-                        base_ctx = ScheduleContext(
-                            n=live.n,
-                            bandwidth=proto.bandwidth,
-                            worm_length=proto.worm_length,
-                            dilation=dilation,
-                            congestion=live.path_congestion,
-                        )
-                        dl = dilation + proto.worm_length
-
-            if not active:
-                # Idle round: nothing to launch, so no generator is
-                # spawned and no fault draw happens (the fault models
-                # evolve lazily, so skipping rounds is safe).
-                delta = 1
-                duration = delta + 2 * dl if base_ctx is not None else delta
-                total_time += duration
-                record = StreamingRoundRecord(
-                    index=t,
-                    delay_range=delta,
-                    offered=round_offered,
-                    admitted=round_admitted,
-                    rejected=round_rejected,
-                    expired=round_expired,
-                    active_before=0,
-                    delivered=0,
-                    acked=0,
-                    duration=duration,
-                )
-                records.append(record)
-                if observe:
-                    metrics.gauge("scenario_active_worms", 0)
-                if self._trace is not None:
-                    self._trace.write(
-                        "scenario_round",
-                        trial=self._trace_trial,
-                        **dataclasses.asdict(record),
-                    )
-                if tracker is not None:
-                    tracker.observe_round(record)
-                    if tracker.due:
-                        self._emit_window(
-                            tracker.flush(t, 0), metrics, observe
-                        )
-                continue
-
-            with prof.span("scenario.round"):
-                # Routing phase: a verbatim mirror of the static protocol's
-                # round (same draw order, same arithmetic).
-                current_congestion = None
-                if proto.track_congestion:
-                    if streaming:
-                        current_congestion = live.path_congestion
+                    counts = stepper.admit(t, st, metrics, observe)
+            if st.active:
+                with prof.span("protocol.round"):
+                    if not proto.track_congestion:
+                        congestion = None
+                    elif streaming:
+                        congestion = stepper.live.path_congestion
                     else:
-                        (current_congestion,) = _subset_congestion(
-                            self.collection, [active]
-                        )
-                ctx = dataclasses.replace(
-                    base_ctx, current_congestion=current_congestion
-                )
-                delta = proto.schedule.delay_range(t, ctx)
-                if stall.multiplier > 1.0:
-                    delta = max(1, int(math.ceil(delta * stall.multiplier)))
-
-                round_rng = spawn_generator(rng)
-                launches = _draw_launches(active, delta, proto, round_rng)
-                dead_links = (
-                    fault_run.dead_links(t, round_rng)
-                    if fault_run is not None
-                    else None
-                )
-                result = engine.run_round(launches, collect_collisions=False,
-                                          dead_links=dead_links)
-                delivered = result.delivered
-                acked = set(delivered)
-                if fault_run is not None and acked:
-                    lost = fault_run.lost_acks(t, sorted(acked), round_rng)
-                    if lost:
-                        acked -= lost
-                for uid in acked:
-                    delivered_round.setdefault(uid, t)
-                active = [uid for uid in active if uid not in acked]
-                if acked:
-                    acked_total += len(acked)
-                    for uid in sorted(acked):
-                        latency = t - admitted_round[uid] + 1
-                        latencies.append(latency)
-                        if tracker is not None:
-                            tracker.observe_latency(latency)
-                        if observe:
-                            metrics.observe(
-                                "scenario_admission_latency_rounds", latency
-                            )
-                    if streaming:
-                        with prof.span("scenario.retire"):
-                            engine.retire_worms(sorted(acked))
-                            for uid in acked:
-                                live.remove(uid)
-
-                duration = delta + 2 * dl
-                total_time += duration
-                record = StreamingRoundRecord(
-                    index=t,
-                    delay_range=delta,
-                    offered=round_offered,
-                    admitted=round_admitted,
-                    rejected=round_rejected,
-                    expired=round_expired,
-                    active_before=result.n_launched,
-                    delivered=len(delivered),
-                    acked=len(acked),
-                    duration=duration,
-                )
-                records.append(record)
-                if observe:
-                    metrics.inc("scenario_rounds_total")
-                    metrics.inc("scenario_acked_total", len(acked))
-                    metrics.gauge("scenario_active_worms", len(active))
-                if self._trace is not None:
-                    self._trace.write(
-                        "scenario_round",
-                        trial=self._trace_trial,
-                        **dataclasses.asdict(record),
+                        (congestion,) = _round_congestion([(stepper, st)])
+                    launches, dead_links = stepper._prepare_round(st, congestion)
+                    result = stepper.engine.run_round(
+                        launches, collect_collisions=False, dead_links=dead_links
                     )
+                    acked = sorted(stepper._absorb_round(st, result))
+                done = st.records[-1]
+                record = StreamingRoundRecord(
+                    t, done.delay_range, *counts, done.active_before,
+                    done.delivered, done.acked, done.duration,
+                )
+                if observe:  # idle rounds are not counted
+                    metrics.inc("scenario_rounds_total")
+                    metrics.inc("scenario_acked_total", done.acked)
+            else:
+                # Idle round: nothing to launch, so no generator is
+                # spawned, no fault is drawn (the fault models evolve
+                # lazily, so skipping rounds is safe) and the stall
+                # detector sees no round.
+                st.t = t
+                acked = []
+                record = StreamingRoundRecord(t, 1, *counts, 0, 0, 0, 1 + 2 * st.dl)
+                st.total_time += record.duration
+
+            for uid in acked:
+                latency = t - admitted_round[uid] + 1
+                latencies.append(latency)
                 if tracker is not None:
-                    tracker.observe_round(record)
-                    if tracker.due:
-                        self._emit_window(
-                            tracker.flush(t, len(active)), metrics, observe
-                        )
-                stall.observe_round(len(acked))
-
-            if not streaming and not active:
-                completed = True
+                    tracker.observe_latency(latency, uid)
+                if observe:
+                    metrics.observe("scenario_admission_latency_rounds", latency)
+            records.append(record)
+            if observe:
+                metrics.gauge("scenario_active_worms", len(st.active))
+            if self._trace is not None:
+                fields = dataclasses.asdict(record)
+                self._trace.write("scenario_round", trial=self._trace_trial, **fields)
+            # Drain mode ends once the backlog is acked.
+            last = t == horizon or not (streaming or st.active)
+            if tracker is not None:
+                tracker.observe_round(record)
+                # The last window may be partial, so the series covers
+                # every round.
+                if last or tracker.rounds >= tracker.every:
+                    window = tracker.flush(t, len(st.active))
+                    self._emit_window(window, metrics, observe)
+            if last:
                 break
-
-        if tracker is not None and tracker.rounds:
-            # Partial trailing window (horizon or drain not divisible by
-            # snapshot_every): flush it so the series covers every round.
-            self._emit_window(
-                tracker.flush(rounds_used, len(active)), metrics, observe
-            )
-        if streaming:
-            completed = not active
-
+        completed = not st.active
         out = StreamingResult(
             completed=completed,
-            rounds=rounds_used,
-            total_time=total_time,
-            offered=offered,
-            admitted=admitted,
-            acked=acked_total,
-            rejected=rejected,
-            expired=expired,
+            rounds=st.t,
+            total_time=st.total_time,
+            offered=backlog + sum(r.offered for r in records),
+            admitted=backlog + sum(r.admitted for r in records),
+            acked=len(st.delivered_round),
+            rejected=sum(r.rejected for r in records),
+            expired=sum(r.expired for r in records),
             records=tuple(records),
-            delivered_round=delivered_round,
+            delivered_round=st.delivered_round,
             admitted_round=admitted_round,
             latencies=tuple(latencies),
         )

@@ -420,6 +420,7 @@ def run_scenario(
     config = spec.to_config(rounds=rounds)
     if snapshot_every is not None:
         config = replace(config, snapshot_every=snapshot_every)
+    collection = None
     if config.arrivals is None:
         backlog_rng = spawn_generator(rng)
         stream = traffic_from_dict(spec.traffic).start(network.nodes)
@@ -428,18 +429,14 @@ def run_scenario(
         collection = PathCollection(
             paths, topology=network.topology, require_simple=False
         )
-        engine = StreamingEngine(
-            config,
-            collection=collection,
-            metrics=metrics,
-            trace=trace,
-            on_window=on_window,
-        )
-    else:
-        engine = StreamingEngine(
-            config, network=network, metrics=metrics, trace=trace,
-            on_window=on_window,
-        )
+    engine = StreamingEngine(
+        config,
+        collection=collection,
+        network=network,
+        metrics=metrics,
+        trace=trace,
+        on_window=on_window,
+    )
     started = time.time()
     result = engine.run(rng)
     if ledger is not None:

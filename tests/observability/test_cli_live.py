@@ -65,7 +65,7 @@ class TestPromPortAndProfile:
     def test_profile_prints_flame_and_restores_default(self, capsys):
         assert main(SCENARIO + ["--profile"]) == 0
         out = capsys.readouterr().out
-        assert "scenario.round" in out
+        assert "protocol.round" in out
         assert get_profiler() is NULL_PROFILER
 
     def test_run_profile_covers_protocol_spans(self, capsys):
@@ -84,7 +84,7 @@ class TestPromPortAndProfile:
         assert code == 0
         records = read_trace(trace_path).of_kind("span_profile")
         assert len(records) == 1
-        assert any(p.startswith("scenario.") for p in records[0]["spans"])
+        assert "protocol.round" in records[0]["spans"]
 
 
 class TestWatch:

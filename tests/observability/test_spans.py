@@ -31,6 +31,7 @@ from repro.observability.spans import (
 )
 from repro.optics.coupler import CollisionRule
 from repro.paths.gadgets import type2_bundle
+from repro.scenarios import StreamingConfig, StreamingEngine
 from repro.worms.worm import Launch, Worm, make_worms
 
 
@@ -227,6 +228,9 @@ class TestEngineInstrumentation:
             drivers = {
                 "serial": lambda: TrialAndFailureProtocol(coll, config).run(7),
                 "batch": lambda: run_protocol_batch(coll, config, [7, 8]),
+                "drain": lambda: StreamingEngine(
+                    StreamingConfig(protocol=config), collection=coll
+                ).run(7),
             }
             for driver, run in drivers.items():
                 prof = enable_profiling()

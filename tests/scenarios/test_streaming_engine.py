@@ -215,6 +215,12 @@ class TestMetricsAndTrace:
         assert series["count"] == result.acked
         for key in ("p50", "p95", "p99"):
             assert key in series
+        # One count per routed round; idle rounds launch nothing. The
+        # protocol_* family is a static run's, never a scenario's.
+        routed = sum(1 for record in result.records if record.active_before)
+        assert routed < result.rounds
+        assert registry.value("scenario_rounds_total") == routed
+        assert not [name for name in snap if name.startswith("protocol_")]
 
     def test_trace_records_written(self, tmp_path):
         from repro.observability import TraceWriter, read_trace
@@ -229,6 +235,7 @@ class TestMetricsAndTrace:
         assert len(rounds) == result.rounds
         assert len(summaries) == 1
         assert summaries[0]["acked"] == result.acked
+        assert not trace.of_kind("round")
 
 
 class TestValidation:
