@@ -75,7 +75,6 @@ from repro.observability.logconf import get_logger
 from repro.observability.metrics import MetricsRegistry, get_metrics
 from repro.observability.spans import get_profiler
 from repro.optics.coupler import CollisionRule, TieRule
-from repro.paths import collection as path_collection
 from repro.paths.collection import PathCollection
 from repro.worms.worm import FailureKind, Launch, Launches, Worm, make_worms
 from repro.worms.ack import ack_worms
@@ -877,15 +876,11 @@ def _round_congestion(
 ) -> list[int | None]:
     """Each trial's surviving-worm path congestion (None when untracked).
 
-    ``live_coll.subset(active).path_congestion``, read for each group of
-    trials sharing a live collection -- the shared pristine one, or a
-    repaired trial's patched
-    :meth:`~repro.paths.collection.PathCollection.rerouted` copy -- with
-    one :meth:`~repro.paths.collection.PathCollection.subset_congestion_batch`
-    call of one mask row per trial. The per-subset rebuild runs when the
-    collection is past the dense share matrix's size gate, and for a
-    repaired collection past the rerouted-patch gate: every repaired
-    trial would own that matrix, at 4 * n**2 bytes each.
+    ``live_coll.subset(active).path_congestion``, read with one
+    :meth:`~repro.paths.collection.PathCollection.subset_congestion_batch`
+    call (one mask row per trial) for each group of trials sharing a live
+    collection: the shared pristine one, or a repaired trial's patched
+    :meth:`~repro.paths.collection.PathCollection.rerouted` copy.
     """
     congestion: list[int | None] = [None] * len(trials)
     groups: dict[int, list[int]] = {}
@@ -893,18 +888,11 @@ def _round_congestion(
         if proto.config.track_congestion:
             groups.setdefault(id(st.live_coll), []).append(k)
     for group in groups.values():
-        proto, st = trials[group[0]]
-        coll = st.live_coll
-        actives = [trials[k][1].active for k in group]
-        vals = None
-        if coll is proto.collection or coll.n <= path_collection._PATCH_MAX_PATHS:
-            masks = np.zeros((len(actives), coll.n), dtype=bool)
-            for row, active in enumerate(actives):
-                masks[row, active] = True
-            vals = coll.subset_congestion_batch(masks)
-        if vals is None:
-            vals = [coll.subset(active).path_congestion for active in actives]
-        for k, val in zip(group, vals):
+        coll = trials[group[0]][1].live_coll
+        masks = np.zeros((len(group), coll.n), dtype=bool)
+        for row, k in enumerate(group):
+            masks[row, trials[k][1].active] = True
+        for k, val in zip(group, coll.subset_congestion_batch(masks)):
             congestion[k] = int(val)
     return congestion
 
@@ -951,11 +939,9 @@ def run_protocol_batch(
     is bit-identical to ``TrialAndFailureProtocol(collection,
     config).run(seed)``: that is the one-trial case of the same lockstep
     loop, and the engine pass is bit-identical per trial. Congestion
-    tracking reads each live collection's exact share-matrix oracle once
-    per round for all its trials; the per-trial ``subset`` measure
-    serves collections too large for the dense matrix and repaired
-    collections too large to patch (see :func:`_round_congestion`), so
-    repaired trials never each hold a matrix of more than 256 KiB.
+    tracking reads each live collection's exact sharing bitsets once per
+    round for all its trials (see :func:`_round_congestion`); a repaired
+    trial holds its own patched copy, ``n**2 / 8`` bytes.
     Simulated acks route serially per trial on each trial's own ack
     engine.
 

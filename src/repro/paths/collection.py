@@ -15,6 +15,12 @@ directed link), included because the related work (Section 1.2) is stated
 in terms of it. Note collisions happen per *directed* link: opposite
 traversals of one fiber pair never contend.
 
+Every path-congestion read goes through one exact cached structure:
+per-path sharing bitsets, ``n**2 / 8`` bytes. ``per_path_congestion`` is
+their row popcounts, :meth:`PathCollection.subset_congestion_batch` reads
+the protocol's per-round ``C̃_t`` for many survivor masks at once, and
+:meth:`PathCollection.rerouted` patches a copy.
+
 A :class:`LivePathSet` is the mutable counterpart the streaming engine
 keeps: paths enter and leave one at a time, and ``n``, ``D`` and ``C̃``
 are read off incrementally kept link and sharing indexes.
@@ -34,18 +40,6 @@ from repro.network.topology import Topology
 from repro.paths.layout import LinkLayout, topology_universe
 
 __all__ = ["PathCollection", "LivePathSet"]
-
-#: Largest collection for which the dense path-adjacency matrix is
-#: cached (4 * n**2 bytes reaches 16 MiB here; callers fall back to
-#: per-subset recomputation past it).
-_SHARE_MATRIX_MAX_PATHS = 2048
-
-#: Largest collection whose :meth:`PathCollection.rerouted` results
-#: carry a patched copy of its cached share matrix. Every repaired trial
-#: owns such a copy, and 4 * n**2 bytes is 256 KiB here, so a lockstep
-#: batch of 64 repaired trials holds no more than one matrix at the gate.
-#: Larger results compute their caches lazily, as a fresh build does.
-_PATCH_MAX_PATHS = 256
 
 
 class PathCollection:
@@ -91,8 +85,12 @@ class PathCollection:
 
     @cached_property
     def link_paths(self) -> dict[tuple, list[int]]:
-        """Directed link -> sorted list of path ids using it."""
-        return _link_paths(self._paths)
+        """Directed link -> sorted list of path ids using it, once per use."""
+        index: dict[tuple, list[int]] = {}
+        for pid, path in enumerate(self._paths):
+            for link in zip(path, path[1:]):
+                index.setdefault(link, []).append(pid)
+        return index
 
     @cached_property
     def links(self) -> list[tuple]:
@@ -139,31 +137,10 @@ class PathCollection:
     def per_path_congestion(self) -> np.ndarray:
         """For each path, the number of paths sharing a link with it.
 
-        A path counts itself (see module docstring). With the share
-        matrix already cached (as on a patched :meth:`rerouted` result)
-        these are its row sums; otherwise identical paths share one
-        computation via memoisation, which makes the type-2 gadgets
-        (thousands of identical paths) cheap.
+        A path counts itself (see module docstring): these are the row
+        popcounts of the sharing bitsets.
         """
-        shares = self.__dict__.get("_share_matrix")
-        if shares is not None:
-            # The diagonal is 1: every path shares its links with itself.
-            return shares.sum(axis=1).astype(np.int64)
-        # The layout answers every other link-level read, so unless the
-        # index is cached already it is built for this pass only.
-        link_paths = self.__dict__.get("link_paths") or _link_paths(self._paths)
-        cache: dict[tuple, int] = {}
-        out = np.empty(len(self._paths), dtype=np.int64)
-        for pid, path in enumerate(self._paths):
-            cached = cache.get(path)
-            if cached is None:
-                sharing: set[int] = set()
-                for a, b in zip(path, path[1:]):
-                    sharing.update(link_paths[(a, b)])
-                cached = len(sharing)
-                cache[path] = cached
-            out[pid] = cached
-        return out
+        return np.bitwise_count(self._share_bits).sum(axis=1, dtype=np.int64)
 
     @cached_property
     def path_congestion(self) -> int:
@@ -188,14 +165,19 @@ class PathCollection:
     def subset(self, path_ids: Sequence[int]) -> "PathCollection":
         """A new collection containing only ``path_ids`` (order preserved).
 
-        The protocol re-measures the surviving worms' congestion (Lemma
-        2.4's quantity) through :meth:`subset_congestion_batch` and falls
-        back to ``subset(...).path_congestion`` past the share matrix's
-        size gate, and for repaired collections past ``_PATCH_MAX_PATHS``.
+        Ids must lie in ``[0, n)``. The protocol reads the surviving
+        worms' congestion (Lemma 2.4's quantity) without building
+        subsets, through :meth:`subset_congestion_batch`.
         """
         ids = list(path_ids)
         if not ids:
             raise PathError("subset of a path collection cannot be empty")
+        n = self.n
+        for pid in ids:
+            if not 0 <= pid < n:
+                raise PathError(
+                    f"cannot take path {pid}: the collection has {n} paths"
+                )
         return PathCollection(
             [self._paths[i] for i in ids],
             topology=self.topology,
@@ -211,16 +193,12 @@ class PathCollection:
         the replaced paths are checked and validated against the
         topology. A compiled :attr:`layout` is spliced: only the replaced
         rows' links are looked up, and the result's :attr:`dilation` is
-        read off the spliced link counts. When this collection's share
-        matrix is cached and it has at most ``_PATCH_MAX_PATHS`` paths,
-        the result gets a copy of the matrix with every replaced row and
-        column recomputed in one array step (its
-        :attr:`per_path_congestion` are then the row sums): a
-        ``replaced x links`` hit mask of the new paths' links, gathered
-        over the spliced layout and OR-reduced per path. That is an
-        O(n**2) copy plus O(replaced * layout) work, instead of a rebuild
-        that also re-validates every path. Everything else the result
-        computes lazily, as a fresh build would. Empty ``changes``
+        read off the spliced link counts. When this collection's sharing
+        bitsets are cached, the result gets a copy with every replaced row
+        and column recomputed in one array step: a ``replaced x links``
+        hit mask of the new paths' links, gathered over the spliced
+        layout, OR-reduced per path and packed. Everything else the
+        result computes lazily, as a fresh build would. Empty ``changes``
         return this collection itself. Used by the protocol's reroute
         repair.
         """
@@ -248,8 +226,8 @@ class PathCollection:
         if layout is not None:
             layout = child.__dict__["layout"] = layout.spliced(new)
             child.__dict__["dilation"] = int(layout.count.max())
-        shares = self.__dict__.get("_share_matrix")
-        if shares is not None and n <= _PATCH_MAX_PATHS:
+        bits = self.__dict__.get("_share_bits")
+        if bits is not None:
             layout = child.layout
             rows = np.fromiter(new, dtype=np.int64, count=len(new))
             slot = np.full(n, -1, dtype=np.int64)
@@ -261,63 +239,79 @@ class PathCollection:
             hit[entry[own], layout.flat[own]] = True
             # Gather the hits over every path's links, OR them per path.
             sharing = np.logical_or.reduceat(hit[:, layout.flat], layout.start, axis=1)
-            shares = shares.copy()
-            shares[rows, :] = sharing
-            shares[:, rows] = sharing.T
-            child.__dict__["_share_matrix"] = shares
+            # Clear the replaced columns, set their new bits, then the rows.
+            column = _bit(rows)
+            bits = bits.copy()
+            np.bitwise_and.at(bits, (slice(None), rows >> 6), ~column)
+            r, j = sharing.nonzero()
+            np.bitwise_or.at(bits, (j, rows[r] >> 6), column[r])
+            bits[rows] = _packed(sharing)
+            child.__dict__["_share_bits"] = bits
         return child
 
     @cached_property
-    def _share_matrix(self) -> "np.ndarray | None":
-        """0/1 ``n x n`` matrix: paths ``i`` and ``j`` share a directed link.
+    def _share_bits(self) -> np.ndarray:
+        """Per-path sharing bitsets, ``n x ceil(n / 64)`` ``uint64``.
 
-        float32 so a blas matmul against it stays exact (every count it
-        can produce is an integer below ``2**24``) while the cache stays
-        small; None when the collection exceeds
-        ``_SHARE_MATRIX_MAX_PATHS`` and the dense form would not pay.
-        Built from the compiled :attr:`layout`: one incidence column per
-        link the paths use.
+        Bit ``j`` of row ``i`` (bit ``j % 64`` of word ``j // 64``) is set
+        iff paths ``i`` and ``j`` share a directed link, so the diagonal
+        is set. Built from the compiled :attr:`layout`: one member bitset
+        per used link, OR-reduced over each path's links a chunk of paths
+        at a time.
         """
         n = self.n
-        if n > _SHARE_MATRIX_MAX_PATHS:
-            return None
+        width = -(-n // 64)
         layout = self.layout
         local, gids = layout.numbered()
-        incidence = np.zeros((n, gids.shape[0]), dtype=np.float32)
-        incidence[np.repeat(np.arange(n), layout.count), local[layout.flat]] = 1.0
-        shares = (incidence @ incidence.T) > 0
-        return shares.astype(np.float32)
+        lids = local[layout.flat]
+        owner = np.repeat(np.arange(n), layout.count)
+        members = np.zeros(gids.shape[0] * width, dtype=np.uint64)
+        np.bitwise_or.at(members, lids * width + (owner >> 6), _bit(owner))
+        members = members.reshape(-1, width)
+        # Chunks gather about 2**16 words (512 KiB) each, which stays in
+        # cache; a chunk ends at the first path starting past its share.
+        start = layout.start
+        chunk = start * width >> 16
+        cuts = [0, *(np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist(), n]
+        bits = np.empty((n, width), dtype=np.uint64)
+        for p0, p1 in pairwise(cuts):
+            e0, e1 = start[p0], start[p1 - 1] + layout.count[p1 - 1]
+            bits[p0:p1] = np.bitwise_or.reduceat(
+                members[lids[e0:e1]], start[p0:p1] - e0, axis=0
+            )
+        return bits
 
-    def subset_congestion_batch(
-        self, active: "np.ndarray"
-    ) -> "np.ndarray | None":
-        """``subset(mask).path_congestion`` for many masks in one matmul.
+    def subset_congestion_batch(self, active: "np.ndarray") -> np.ndarray:
+        """``subset(mask).path_congestion`` for many masks at once.
 
         ``active`` is a ``(K, n)`` boolean matrix of per-trial survivor
         masks over *this* collection's paths. Returns the ``K`` exact
-        congestion values (``int64``), bit-equal to building each subset
-        and reading its ``path_congestion`` -- for an active path ``i``,
-        the subset's sharing set is exactly the active paths adjacent to
-        ``i`` in the share matrix, and all counts are small integers, so
-        the float32 accumulation is exact. Returns None when the
-        collection is too large for the dense share matrix (callers fall
-        back to the per-subset path). Rows with no active path yield 0
-        (``subset`` itself would refuse an empty selection).
-
-        The protocol reads every round's congestion here: one row per
-        trial, one call per live collection. Up to ``_PATCH_MAX_PATHS``
-        paths, :meth:`rerouted` keeps a repaired collection's matrix
-        patched; past that the protocol reads the oracle only on the
-        collection it started with.
+        congestion values (``int64``): an active path's count is the
+        popcount of its sharing row AND the packed mask, and a mask's
+        value is the largest such count. Rows with no active path yield 0
+        (``subset`` itself would refuse an empty selection). Any other
+        mask shape raises :class:`~repro.errors.PathError`. The protocol
+        reads every round's congestion here, one row per trial.
         """
-        shares = self._share_matrix
-        if shares is None:
-            return None
-        mask = np.ascontiguousarray(np.asarray(active, dtype=np.float32))
-        counts = mask @ shares
-        # Only surviving paths participate in the max.
-        counts[mask == 0.0] = 0.0
-        return counts.max(axis=1).astype(np.int64)
+        mask = np.asarray(active, dtype=bool)
+        if mask.ndim != 2 or mask.shape[1] != self.n:
+            raise PathError(
+                f"congestion masks must have shape (K, {self.n}), "
+                f"got {mask.shape}"
+            )
+        if mask.all():  # every path of every row: the whole collection
+            return np.full(mask.shape[0], self.path_congestion, dtype=np.int64)
+        bits = self._share_bits
+        trial, path = np.divmod(np.flatnonzero(mask), self.n)
+        shared = np.take(bits, path, axis=0)
+        shared &= np.take(_packed(mask), trial, axis=0)
+        # Row sums by a float32 matrix-vector product, exact because every
+        # partial sum is an integer of at most n (far below 2**24).
+        ones = np.ones(bits.shape[1], dtype=np.float32)
+        counts = np.bitwise_count(shared).astype(np.float32) @ ones
+        out = np.zeros(mask.shape[0], dtype=np.int64)
+        np.maximum.at(out, trial, counts.astype(np.int64))
+        return out
 
     def merged_with(self, other: "PathCollection") -> "PathCollection":
         """Concatenate two collections (topology kept only if shared)."""
@@ -405,13 +399,17 @@ class LivePathSet:
         return max(map(len, self._sharing.values()), default=0)
 
 
-def _link_paths(paths: Sequence[tuple]) -> dict[tuple, list[int]]:
-    """Directed link -> ids of the ``paths`` using it, once per use."""
-    index: dict[tuple, list[int]] = {}
-    for pid, path in enumerate(paths):
-        for a, b in zip(path, path[1:]):
-            index.setdefault((a, b), []).append(pid)
-    return index
+def _bit(ids: np.ndarray) -> np.ndarray:
+    """Each id's bit within its ``uint64`` word of a bitset."""
+    return np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+
+
+def _packed(mask: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D boolean array as bitsets of ``uint64`` words."""
+    rows, n = mask.shape
+    out = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+    out[:, : -(-n // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
 def _validated_layout(paths: Sequence[tuple], topology: Topology) -> LinkLayout:

@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import pytest
 
-import repro.paths.collection as collection_module
 from repro.core.protocol import (
     ProtocolConfig,
     TrialAndFailureProtocol,
@@ -109,10 +108,9 @@ def test_batched_repair_digest(seed):
 
 @pytest.mark.parametrize("backend", ["python", "batched"])
 def test_repairs_past_the_patch_gate(backend, monkeypatch):
-    # Repaired collections too large to patch measure their congestion
-    # through subset(): the same results, and no repaired trial builds a
-    # share matrix of its own.
-    monkeypatch.setattr(collection_module, "_PATCH_MAX_PATHS", 8)
+    # Every repaired collection, whatever its size, carries a patched
+    # copy of its parent's sharing bitsets, and the results are the
+    # pinned ones.
     children = []
     rerouted = PathCollection.rerouted
 
@@ -130,7 +128,7 @@ def test_repairs_past_the_patch_gate(backend, monkeypatch):
         )
     assert result_digest(results[0]) == EXPECTED[seed]
     assert len(children) >= 2
-    assert all("_share_matrix" not in child.__dict__ for child in children)
+    assert all("_share_bits" in child.__dict__ for child in children)
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture recording helper

@@ -1,5 +1,8 @@
 """Tests for PathCollection and the paper's congestion measures."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.errors import PathError
@@ -166,6 +169,20 @@ class TestSubsetMerge:
         pc = PathCollection([["a", "b"]])
         with pytest.raises(PathError):
             pc.subset([])
+
+    @pytest.mark.parametrize("pid", [-1, 3, 10_000])
+    def test_subset_out_of_range_id_is_named(self, pid):
+        pc = PathCollection([["a", "b"], ["b", "c"], ["c", "d"]])
+        with pytest.raises(PathError, match=f"path {pid}:"):
+            pc.subset([0, pid])
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (1, 2), (1, 4), (2, 65), (1, 3, 1), ()]
+    )
+    def test_congestion_mask_shape_is_named(self, shape):
+        pc = PathCollection([["a", "b"], ["b", "c"], ["c", "d"]])
+        with pytest.raises(PathError, match=re.escape(str(shape))):
+            pc.subset_congestion_batch(np.ones(shape, dtype=bool))
 
     def test_subset_recomputes_congestion(self):
         pc = PathCollection([["a", "b"]] * 4)

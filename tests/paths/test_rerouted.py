@@ -3,8 +3,8 @@
 A rerouted collection must be indistinguishable from
 ``PathCollection(paths with changes, topology=..., require_simple=False)``
 through everything the protocol and the oracle read: paths, link order,
-link -> paths index, the congestion measures, the share matrix and the
-batched subset oracle. Chains of reroutes must stay exact, because the
+link -> paths index, the congestion measures, the sharing bitsets and
+the batched subset oracle. Chains of reroutes must stay exact, because the
 protocol patches the previous repair's collection, not the original.
 """
 
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.paths.collection as collection_module
 from repro.errors import PathError, TopologyError
 from repro.experiments.workloads import mesh_random_function, torus_random_function
 from repro.network.mesh import Mesh
@@ -48,9 +47,13 @@ def _fresh(coll, changes):
 
 def _brute_shares(coll):
     links = [set(zip(p, p[1:])) for p in coll.paths]
-    return np.array(
-        [[1.0 if a & b else 0.0 for b in links] for a in links], dtype=np.float32
-    )
+    return np.array([[bool(a & b) for b in links] for a in links])
+
+
+def _shares(coll):
+    """The cached sharing bitsets unpacked to an ``n x n`` boolean matrix."""
+    bits = coll._share_bits.view(np.uint8)
+    return np.unpackbits(bits, axis=1, count=coll.n, bitorder="little").astype(bool)
 
 
 def _assert_same(got, want, rng):
@@ -62,19 +65,13 @@ def _assert_same(got, want, rng):
     np.testing.assert_array_equal(got.per_path_congestion, want.per_path_congestion)
     assert got.per_path_congestion.dtype == want.per_path_congestion.dtype
     assert got.path_congestion == want.path_congestion
-    if want._share_matrix is None:
-        assert got._share_matrix is None
-    else:
-        np.testing.assert_array_equal(got._share_matrix, want._share_matrix)
-        assert got._share_matrix.dtype == want._share_matrix.dtype
+    np.testing.assert_array_equal(got._share_bits, want._share_bits)
+    assert got._share_bits.dtype == want._share_bits.dtype
     masks = rng.random((5, want.n)) < 0.5
     masks[0] = True
-    got_vals = got.subset_congestion_batch(masks)
-    want_vals = want.subset_congestion_batch(masks)
-    if want_vals is None:
-        assert got_vals is None
-    else:
-        np.testing.assert_array_equal(got_vals, want_vals)
+    np.testing.assert_array_equal(
+        got.subset_congestion_batch(masks), want.subset_congestion_batch(masks)
+    )
 
 
 _BUILDERS = {
@@ -94,14 +91,14 @@ def test_chained_reroutes_equal_fresh_build(kind, seed, warm, sizes):
     rng = np.random.default_rng(seed)
     coll = _BUILDERS[kind](seed)
     if warm:
-        coll._share_matrix  # the parent's oracle is cached: patch it
+        coll._share_bits  # the parent's oracle is cached: patch it
     for k in sizes:
         changes = _random_changes(coll, rng, k)
-        cached = "_share_matrix" in coll.__dict__
+        cached = "_share_bits" in coll.__dict__
         child = coll.rerouted(changes)
         # Patched exactly when the parent had one; _assert_same reads
         # the oracle, so later links of the chain are always patched.
-        assert ("_share_matrix" in child.__dict__) == cached
+        assert ("_share_bits" in child.__dict__) == cached
         _assert_same(child, _fresh(coll, changes), rng)
         coll = child
 
@@ -116,35 +113,23 @@ def test_long_chain_on_cached_oracle(kind):
         want = _fresh(coll, changes)
         coll = coll.rerouted(changes)
         _assert_same(coll, want, rng)
-    np.testing.assert_array_equal(coll._share_matrix, _brute_shares(coll))
+    np.testing.assert_array_equal(_shares(coll), _brute_shares(coll))
 
 
 def test_parent_without_cached_share_matrix():
     rng = np.random.default_rng(1)
     coll = torus_random_function(4, 2, rng=1)
-    assert "_share_matrix" not in coll.__dict__
+    assert "_share_bits" not in coll.__dict__
     changes = _random_changes(coll, rng, 3)
     child = coll.rerouted(changes)
-    assert "_share_matrix" not in child.__dict__
+    assert "_share_bits" not in child.__dict__
     assert "per_path_congestion" not in child.__dict__
-    _assert_same(child, _fresh(coll, changes), rng)
-
-
-def test_collection_over_the_share_matrix_gate(monkeypatch):
-    monkeypatch.setattr(collection_module, "_SHARE_MATRIX_MAX_PATHS", 4)
-    rng = np.random.default_rng(2)
-    coll = torus_random_function(4, 2, rng=2)
-    assert coll.n > 4 and coll._share_matrix is None
-    changes = _random_changes(coll, rng, 3)
-    child = coll.rerouted(changes)
-    assert child._share_matrix is None
-    assert child.subset_congestion_batch(np.ones((1, child.n), dtype=bool)) is None
     _assert_same(child, _fresh(coll, changes), rng)
 
 
 def test_invalid_replacement_raises_like_a_fresh_build():
     coll = torus_random_function(4, 2, rng=4)
-    coll._share_matrix
+    coll._share_bits
     a, b = coll.paths[0][0], coll.paths[0][-1]
     bad = {1: coll.paths[1], 3: (a, (9, 9))}
     with pytest.raises(TopologyError) as fresh_err:
@@ -172,27 +157,27 @@ def test_empty_changes_return_the_collection():
     assert coll.rerouted({}) is coll
 
 
-def test_collection_over_the_patch_gate(monkeypatch):
-    # Too large to patch: the result computes its caches like a fresh
-    # build, even though the parent's share matrix is cached.
-    monkeypatch.setattr(collection_module, "_PATCH_MAX_PATHS", 4)
+def test_collection_over_the_patch_gate():
+    # A collection of any size patches: 324 paths span six bitset words,
+    # and the replaced rows fall in several of them.
     rng = np.random.default_rng(9)
-    coll = torus_random_function(4, 2, rng=9)
-    assert coll.n > 4 and coll._share_matrix is not None
-    changes = _random_changes(coll, rng, 3)
+    coll = torus_random_function(18, 2, rng=9)
+    coll._share_bits
+    changes = _random_changes(coll, rng, 5)
+    changes[0] = changes[coll.n - 1] = _walk(coll.topology, rng, 5)
     child = coll.rerouted(changes)
-    assert "_share_matrix" not in child.__dict__
+    assert "_share_bits" in child.__dict__
     assert "_link_members" not in child.__dict__
     _assert_same(child, _fresh(coll, changes), rng)
 
 
 def test_share_matrix_matches_brute_force():
     sparse = torus_random_function(8, 2, rng=8)
-    np.testing.assert_array_equal(sparse._share_matrix, _brute_shares(sparse))
+    np.testing.assert_array_equal(_shares(sparse), _brute_shares(sparse))
     m = Mesh((3, 3))
     row = [(0, 0), (0, 1), (0, 2)]
     dense = PathCollection([row] * 6 + [[(1, 0), (1, 1)]], topology=m)
-    np.testing.assert_array_equal(dense._share_matrix, _brute_shares(dense))
+    np.testing.assert_array_equal(_shares(dense), _brute_shares(dense))
     assert dense.per_path_congestion.tolist() == [6] * 6 + [1]
 
 
@@ -202,14 +187,13 @@ def test_replaced_paths_sharing_links_patch_exactly(kind):
     # one another: the batched patch must fill the replaced block too.
     rng = np.random.default_rng(11)
     coll = _BUILDERS[kind](11)
-    coll._share_matrix
+    coll._share_bits
     walk = _walk(coll.topology, rng, 6)
     changes = {0: walk, 3: walk, 5: walk[1:4], 7: walk[3:][::-1], 9: walk[:2]}
     child = coll.rerouted(changes)
-    assert "_share_matrix" in child.__dict__
+    assert "_share_bits" in child.__dict__
     want = _fresh(coll, changes)
-    np.testing.assert_array_equal(child._share_matrix, want._share_matrix)
-    assert child._share_matrix.dtype == want._share_matrix.dtype
+    np.testing.assert_array_equal(child._share_bits, want._share_bits)
     for trio in ([0, 3, 5], [0, 3, 9]):
-        assert child._share_matrix[np.ix_(trio, trio)].all()
+        assert _shares(child)[np.ix_(trio, trio)].all()
     _assert_same(child, want, rng)
