@@ -121,7 +121,7 @@ def collect_sample(backend: str = "python") -> dict:
         stages[stage] = span["total"] / span["count"]
 
     # Warm-up (same spirit as the round warm-up above): first-touch
-    # costs -- the collection's cached share matrix, allocator pools --
+    # costs -- the collection's cached sharing bitsets, allocator pools --
     # belong to neither backend's steady-state throughput.
     route_collection_trials(
         coll, bandwidth=BANDWIDTH, trials=2,
