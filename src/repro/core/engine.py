@@ -63,8 +63,8 @@ only when they are read.
 Within a pass no trial's events cluster with another's (the trial id is
 the most significant part of the channel key), so each trial's
 outcomes, collision order, fault attribution and flight-recorder stream
-are bit-identical to running that trial alone. A one-call pass stacks
-nothing and sorts without the trial key.
+are bit-identical to running that trial alone. A pass allocates its
+event columns once, and every call writes its events into its slice.
 
 The backend names (:data:`BACKENDS`) select nothing here: every name
 runs this one kernel, and the trial runner steps trials in lockstep
@@ -161,41 +161,46 @@ def _lexorder(
     ``columns[i]`` holds values in ``[0, bounds[i])``. The columns are
     packed, most significant first, into as few int64 words as hold 63
     bits each, with the row index in the lowest bits of the last word.
-    Every key is then unique, so one word sorts by value (``np.sort``,
-    much faster than an ``argsort``) and the row order is read back
-    from its low bits; several go through ``np.lexsort`` on the words.
-    Either way the result equals the stable ``np.lexsort(columns[::-1])``.
+    Every key is then unique, so one word sorts in place by value (much
+    faster than an ``argsort``) and the row order is read back from its
+    low bits; several go through ``np.lexsort`` on the words. Either
+    way the result equals the stable ``np.lexsort(columns[::-1])``.
 
     With ``keep``, returns ``(order, sorted)`` instead: ``sorted`` holds
     the first ``keep`` columns in that order, read back from the sorted
-    word when there is one (cheaper than gathering them).
+    word when there is one (cheaper than gathering them). The inputs
+    are never written; each returned array is one allocation.
     """
     n = columns[0].shape[0]
+    order = np.arange(n)
     words: list[np.ndarray] = []
     used = 64
-    for col, bound in zip((*columns, np.arange(n)), (*bounds, n)):
+    for col, bound in zip((*columns, order), (*bounds, n)):
         width = max(1, (int(bound) - 1).bit_length())
         if used + width > 63:
+            # A copy, even of an int64 column: the word is packed in place.
             words.append(col.astype(np.int64))
             used = width
         else:
-            word = words[-1]
-            word <<= width
-            word |= col
+            words[-1] <<= width
+            words[-1] |= col
             used += width
     if len(words) > 1:
         order = np.lexsort(words[::-1])
         return (order, [col[order] for col in columns[:keep]]) if keep else order
-    # ``width`` is the row index's, packed lowest.
-    word = np.sort(words[0])
-    order = word & ((1 << width) - 1)
+    # ``width`` is the row index's, packed lowest; ``order`` is its buffer.
+    word = words[0]
+    word.sort()
+    np.bitwise_and(word, (1 << width) - 1, out=order)
     if not keep:
         return order
     kept = []
     for bound in bounds[:keep]:
         width = max(1, (int(bound) - 1).bit_length())
         used -= width
-        kept.append((word >> used) & ((1 << width) - 1))
+        col = word >> used
+        col &= (1 << width) - 1
+        kept.append(col)
     return order, kept
 
 
@@ -1153,46 +1158,6 @@ class RoutingEngine:
         for stage, secs in zip(_STAGES, seconds):
             metrics.observe("engine_stage_seconds", secs, stage=stage)
 
-    def _event_parts(
-        self, worms: _Launched, launches: Sequence[Launch]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Unsorted event columns ``(t, lid, wl, pos, ri)`` for ``launches``.
-
-        ``worms`` are the launched worms' columns, from
-        :meth:`_launched`, and ``launches`` their launch columns
-        (:class:`Launches` pass through :meth:`Launches.of` unchanged);
-        ``ri`` indexes the launch rows. One vectorized gather from the
-        event table (``_ev_table``). Row order is immaterial: the (time,
-        link, wavelength, pos, run) key is unique per event, so the
-        follow-up sort fixes the canonical order regardless of input
-        order.
-        """
-        cols = Launches.of(launches)
-        counts = worms.n_links
-        total = int(counts.sum())
-        # Event e of run k is at position e and gathers table row start[k]+e.
-        pos = np.arange(total, dtype=np.int64)
-        pos -= np.repeat(np.cumsum(counts) - counts, counts)
-        lid = self._ev_table[pos + np.repeat(worms.start, counts)]
-        if cols.per_link is None:
-            wl = np.repeat(cols.wavelength, counts)
-        else:
-            wl = np.fromiter(
-                chain.from_iterable(
-                    w if isinstance(w, tuple) else repeat(w, n)
-                    for w, n in zip(cols.wavelengths(), counts.tolist())
-                ),
-                dtype=np.int64,
-                count=total,
-            )
-        return (
-            pos + np.repeat(cols.delay, counts),
-            lid,
-            wl,
-            pos,
-            np.repeat(np.arange(len(worms), dtype=np.int64), counts),
-        )
-
     @staticmethod
     def _install(
         occupancy: dict, key: tuple[int, int], run: _Run, pos: int, t: int
@@ -1449,9 +1414,9 @@ class _Slot:
     """
 
     __slots__ = (
-        "index", "call", "engine", "metrics", "launched", "runs", "parts",
-        "dead_lids", "seconds", "contended", "free_events", "collisions",
-        "faulted_at", "settled", "partition",
+        "index", "call", "engine", "metrics", "launched", "runs", "n_events",
+        "_parts", "dead_lids", "seconds", "contended", "free_events",
+        "collisions", "faulted_at", "settled", "partition",
     )
 
     def __init__(self, index: int, call: RoundCall, metrics: MetricsRegistry) -> None:
@@ -1462,15 +1427,17 @@ class _Slot:
         self.collisions: list[CollisionEvent] = []
         self.faulted_at: dict[int, int] = {}
         self.settled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._parts: tuple[np.ndarray, ...] | None = None
 
     def begin(self) -> None:
-        """Check the launches and lay out the run state and event columns.
+        """Check the launches and lay out the run state.
 
         The launches become columns here, once (see
         :meth:`RoutingEngine._launched`); everything after reads
         columns. Runs start as an empty dict, filled as the priority
         replay and dead links touch worms, unless a flight recorder
-        needs every run from the launch on.
+        needs every run from the launch on. The pass sizes its columns
+        from ``n_events`` and has :meth:`write_events` fill them.
         """
         eng = self.engine
         call = self.call
@@ -1481,8 +1448,52 @@ class _Slot:
             self.runs = dict(enumerate(launched.runs()))
             for run in self.runs.values():
                 recorder.launch(run)
-        self.parts = eng._event_parts(launched, launched.launches)
+        self.n_events = int(launched.n_links.sum())
         self.dead_lids = eng._dead_lids(call.dead_links)
+
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        """The event columns ``(t, lid, wl, pos, ri)``: in a pass, views of
+        its slice of the pass's; a slot alone gets its own on first read."""
+        if self._parts is None:
+            self.write_events(np.empty((5, self.n_events), dtype=np.int64))
+        return self._parts
+
+    def write_events(self, out: np.ndarray) -> None:
+        """Write :attr:`parts` into the rows of ``out``, ``(5, n_events)``.
+
+        ``ri`` indexes the launch rows. Only ``ri`` and ``pos`` pass
+        through call-sized temporaries (a repeat and a row count); every
+        other column is gathered straight into ``out`` by clipping
+        ``np.take`` calls (which never copy ``out``; every index is in
+        range) from the launch columns and the engine's event table. Row
+        order is immaterial: the (time, link, wavelength, pos, run) key
+        is unique per event, so the pass's sort fixes the canonical order.
+        """
+        self._parts = t, lid, wl, pos, ri = tuple(out)
+        worms = self.launched
+        cols = worms.launches
+        counts = worms.n_links
+        ri[:] = np.repeat(np.arange(counts.shape[0]), counts)
+        np.take(np.cumsum(counts) - counts, ri, out=pos, mode="clip")
+        np.subtract(np.arange(self.n_events), pos, out=pos)
+        # Event e of run k is at position e and reads table row start[k]+e.
+        np.take(worms.start, ri, out=t, mode="clip")
+        t += pos
+        np.take(self.engine._ev_table, t, out=lid, mode="clip")
+        np.take(cols.delay, ri, out=t, mode="clip")
+        t += pos
+        if cols.per_link is None:
+            np.take(cols.wavelength, ri, out=wl, mode="clip")
+        else:
+            wl[:] = np.fromiter(
+                chain.from_iterable(
+                    w if isinstance(w, tuple) else repeat(w, n)
+                    for w, n in zip(cols.wavelengths(), counts.tolist())
+                ),
+                dtype=np.int64,
+                count=self.n_events,
+            )
 
     def resolve(self) -> None:
         """This call's own resolve work, after the pass-wide partition."""
@@ -1522,12 +1533,12 @@ def run_round_batch(calls: Sequence[RoundCall]) -> list[RoundResult]:
     Every pass opens one ``engine.round`` span (on the first call's
     profiler); one that launches anything gives it one
     ``engine.build_events``, ``engine.resolve`` and ``engine.finalise``
-    child each. Timings are
-    measured, never apportioned: each call's ``engine_stage_seconds``
-    get the work done for that call alone (its event columns, its
-    replay or recorder stream, its finalise). With several launched
-    calls, the stacking (build_events) and the sort, clash test and
-    settle step (resolve) are shared, and are observed once per pass as
+    child each. Timings are measured, never apportioned: each call's
+    ``engine_stage_seconds`` get the work done for that call alone (its
+    launch check and launch columns, its replay or recorder stream, its
+    finalise). With several launched calls, writing the events into the
+    pass's columns (build_events) and the sort, clash test and settle
+    step (resolve) are shared, and are observed once per pass as
     ``engine_batch_stage_seconds`` in the process-default registry; in a
     one-call pass they are that call's own stage time.
     """
@@ -1574,13 +1585,18 @@ def _run_round_batch(
             start = clock()
             slot.begin()
             slot.seconds = [clock() - start, 0.0, 0.0]
+        # Sized first, the pass's columns are allocated once; each slot
+        # writes its events straight into its own slice of them.
         start = clock()
-        columns, rows, trial = _stacked_events(live)
+        rows = list(accumulate((slot.n_events for slot in live), initial=0))
+        columns = np.empty((5, rows[-1]), dtype=np.int64)
+        for slot, lo, hi in zip(live, rows, rows[1:]):
+            slot.write_events(columns[:, lo:hi])
         shared = [clock() - start, 0.0]
 
     with prof.span("engine.resolve"):
         start = clock()
-        _partition(live, columns, rows, trial)
+        _partition(live, columns, rows)
         shared[1] = clock() - start
         for slot in live:
             start = clock()
@@ -1610,32 +1626,7 @@ def _run_round_batch(
     return results  # type: ignore[return-value]
 
 
-def _stacked_events(
-    live: list[_Slot],
-) -> tuple[list[np.ndarray], list[int], np.ndarray | None]:
-    """The pass's event columns ``(t, lid, wl, pos, ri)``, slot after slot.
-
-    Returns the columns, the row bounds of each slot's slice (slot
-    ``i`` owns rows ``rows[i]:rows[i + 1]``), and the trial id of every
-    row. A one-call pass stacks nothing, and its trial column is None.
-    Within a slice, rows run worm after worm in launch order, each
-    worm's in path order.
-    """
-    counts = [slot.parts[0].shape[0] for slot in live]
-    rows = list(accumulate(counts, initial=0))
-    if len(live) == 1:
-        return list(live[0].parts), rows, None
-    columns = [np.concatenate([slot.parts[c] for slot in live]) for c in range(5)]
-    trial = np.repeat(np.arange(len(live), dtype=np.int64), counts)
-    return columns, rows, trial
-
-
-def _partition(
-    live: list[_Slot],
-    columns: list[np.ndarray],
-    rows: list[int],
-    trial: np.ndarray | None,
-) -> None:
+def _partition(live: list[_Slot], columns: np.ndarray, rows: list[int]) -> None:
     """Settle the pass's serve-first clashes; mark its priority replays.
 
     One sort puts the events in (trial, link, wavelength, time,
@@ -1661,10 +1652,13 @@ def _partition(
     chans = max(slot.engine._gids.shape[0] for slot in live) * radix
     lengths = [slot.launched.length for slot in live]
     bases = list(accumulate((length.shape[0] for length in lengths), initial=0))
-    chan, run = lid * radix + wl, ri
-    if trial is not None:
-        chan += trial * chans
-        run = ri + np.asarray(bases[:-1])[trial]
+    chan = lid * radix
+    chan += wl
+    run = ri.copy() if n_slots > 1 else ri
+    for i in range(1, n_slots):
+        lo, hi = rows[i], rows[i + 1]
+        chan[lo:hi] += i * chans
+        run[lo:hi] += bases[i]
     order, (chan_s, t_s) = _lexorder((chan, t, pos), (
         n_slots * chans, int(t.max()) + 1,
         max(slot.engine._max_links for slot in live),

@@ -25,6 +25,7 @@ from repro.core.engine import (
     RoutingEngine,
     _clashed,
     _lexorder,
+    _Slot,
     get_default_backend,
     run_round,
     run_round_batch,
@@ -370,8 +371,10 @@ def _assert_identical(results, streams):
 
 def _clashed_positions(engine, launches, uid):
     """The positions of worm ``uid`` whose events the partition replays."""
-    worms = engine._launched(launches)
-    t, lid, wl, pos, ri = engine._event_parts(worms, launches)
+    slot = _Slot(0, RoundCall(engine, launches), None)
+    slot.begin()
+    worms = slot.launched
+    t, lid, wl, pos, ri = slot.parts
     radix = int(wl.max()) + 1
     order = _lexorder(
         (t, lid, wl, pos, ri),

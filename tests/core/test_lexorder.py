@@ -2,15 +2,26 @@
 
 ``_lexorder`` packs integer key columns into as few int64 words as fit
 and must return exactly the stable ``np.lexsort`` order of the same
-columns (which takes its keys least significant first). ``_clashed``
-must not depend on how that order breaks ties.
+columns (which takes its keys least significant first). It packs and
+sorts in place, so it must also never write through to its inputs nor
+return an array sharing their memory; neither may a pass write to its
+engines' event tables or its launch columns. ``_clashed`` must not
+depend on how that order breaks ties.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import _clashed, _lexorder
+from repro.core.engine import (
+    RoundCall,
+    RoutingEngine,
+    _clashed,
+    _lexorder,
+    run_round_batch,
+)
+from repro.optics.coupler import CollisionRule
+from repro.worms.worm import Launches, Worm
 
 
 def _reference(columns):
@@ -92,6 +103,95 @@ class TestLexorder:
     def test_ties_keep_input_order(self):
         key = np.array([2, 1, 2, 1, 2], dtype=np.int64)
         assert _lexorder([key], [3]).tolist() == [1, 3, 0, 2, 4]
+
+
+def _unwritten(columns, bounds, keep):
+    """``_lexorder`` on copies; assert the columns and results stay apart."""
+    copies = [col.copy() for col in columns]
+    got = _lexorder(copies, bounds, keep=keep)
+    order, kept = got if keep else (got, [])
+    assert np.array_equal(order, _reference(columns))
+    for col, copy in zip(columns, copies):
+        assert np.array_equal(copy, col)
+        for out in (order, *kept):
+            assert not np.shares_memory(out, copy)
+    assert len(kept) == keep
+
+
+class TestNoWriteThrough:
+    """The word is packed and sorted in place, never in a caller's array."""
+
+    def test_int64_column_is_copied(self):
+        # An int64 column needs no cast: only the copy keeps the
+        # in-place sort off it.
+        key = np.array([5, 1, 4, 1, 3], dtype=np.int64)
+        _unwritten([key], [6], keep=0)
+
+    def test_single_column_and_row_index(self):
+        rng = np.random.default_rng(5)
+        _unwritten([rng.integers(0, 1000, 300)], [1000], keep=0)
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_kept_columns(self, keep):
+        rng = np.random.default_rng(keep)
+        bounds = [50, 300, 7]
+        columns = [rng.integers(0, b, 400) for b in bounds]
+        _unwritten(columns, bounds, keep=keep)
+
+    @pytest.mark.parametrize("keep", [0, 2])
+    def test_several_words(self, keep):
+        rng = np.random.default_rng(9)
+        bounds = [2**40, 2**30, 2**10]
+        columns = [rng.integers(0, b, 200) for b in bounds]
+        _unwritten(columns, bounds, keep=keep)
+
+    def test_pass_leaves_event_tables_and_launches(self):
+        # Forks share one event table; each call writes its events into
+        # its slice of the pass's columns, never into what it reads.
+        worms = [
+            Worm(uid=u, path=tuple(range(u, u + 4)), length=3) for u in range(6)
+        ]
+        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST)
+        uids = np.arange(6, dtype=np.int64)
+        launches = [
+            Launches(uids, [0, 1, 0, 2, 1, 0], [0, 1, 0, 1, 0, 1]),
+            Launches(uids[::-1], [1, 0, 0, 0, 2, 1], [1, 1, 0, 0, 1, 0],
+                     per_link=[None, (1, 0, 1), None, None, (0, 0, 1), None]),
+            Launches(uids[:4], [3, 0, 1, 0], [0, 0, 0, 0]),
+        ]
+        calls = [
+            RoundCall(engine.fork(), launches[0]),
+            RoundCall(engine.fork(), launches[1]),
+            RoundCall(engine.fork(), launches[2], dead_links=[(2, 3)]),
+        ]
+        table = engine._ev_table.copy()
+        worm_cols = engine._ev_worms
+        before = [
+            col.copy() for col in (
+                worm_cols.uid, worm_cols.start, worm_cols.count, worm_cols.length
+            )
+        ]
+        launch_cols = [
+            [col.copy() for col in (cols.worm, cols.delay, cols.wavelength,
+                                    cols.priority)]
+            for cols in launches
+        ]
+        run_round_batch(calls)
+        run_round_batch(calls[1:2])
+        for call in calls:
+            assert call.engine._ev_table is engine._ev_table
+        assert np.array_equal(engine._ev_table, table)
+        for col, copy in zip(
+            (worm_cols.uid, worm_cols.start, worm_cols.count, worm_cols.length),
+            before,
+        ):
+            assert np.array_equal(col, copy)
+        for cols, copies in zip(launches, launch_cols):
+            for col, copy in zip(
+                (cols.worm, cols.delay, cols.wavelength, cols.priority), copies
+            ):
+                assert np.array_equal(col, copy)
+        assert launches[1].per_link[1] == (1, 0, 1)
 
 
 class TestClashed:

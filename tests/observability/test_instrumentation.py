@@ -6,14 +6,21 @@ records, pooled aggregation is bit-identical to serial, and the disabled
 (no-op) path stays within noise of an enabled round.
 """
 
+import itertools
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.engine import BACKENDS, RoutingEngine
+import repro.core.engine as engine_module
+from repro.core.engine import BACKENDS, RoundCall, RoutingEngine, run_round_batch
 from repro.core.protocol import route_collection
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import (
+    MetricsRegistry,
+    disable_metrics,
+    enable_metrics,
+)
 from repro.experiments.workloads import mesh_random_function
 from repro.optics.coupler import CollisionRule, TieRule
 from repro.paths.gadgets import type2_bundle
@@ -65,6 +72,41 @@ class TestEngineMetrics:
             hist = reg.value("engine_stage_seconds", stage=stage)
             assert hist["count"] == 2
         assert reg.value("engine_round_seconds", rule="serve_first")["count"] == 2
+
+    @pytest.mark.parametrize("n_calls", [1, 3])
+    def test_stage_timings_of_a_pass(self, n_calls, monkeypatch):
+        # A clock that ticks once per read makes every timed interval
+        # one tick. In a 3-call pass each call's build_events holds its
+        # own launch check only, and the shared event writing and
+        # partition are observed once per pass, never split across
+        # calls; a one-call pass folds them into its own stages.
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            engine_module, "time",
+            SimpleNamespace(perf_counter=lambda: float(next(ticks))),
+        )
+        worms, launches = _two_worm_setup()
+        reg = MetricsRegistry()
+        engine = RoutingEngine(worms, CollisionRule.SERVE_FIRST, metrics=reg)
+        calls = [RoundCall(engine.fork(), launches) for _ in range(n_calls)]
+        try:
+            batch = enable_metrics()
+            run_round_batch(calls)
+        finally:
+            disable_metrics()
+        own = {"build_events": 1.0, "resolve": 1.0, "finalise": 1.0}
+        if n_calls == 1:
+            own.update(build_events=2.0, resolve=2.0)
+        for stage, ticks_per_call in own.items():
+            hist = reg.value("engine_stage_seconds", stage=stage)
+            assert hist["count"] == n_calls
+            assert hist["sum"] == ticks_per_call * n_calls
+        for stage in ("build_events", "resolve", "finalise"):
+            hist = batch.value("engine_batch_stage_seconds", stage=stage)
+            if n_calls == 1 or stage == "finalise":
+                assert hist is None
+            else:
+                assert (hist["count"], hist["sum"]) == (1, 1.0)
 
     def test_counters_accumulate_across_rounds(self):
         worms, launches = _two_worm_setup()
